@@ -2,7 +2,8 @@
 #
 #   make check        # what CI runs: vet, lint, build, race on the
 #                     # concurrency-sensitive packages, full test suite,
-#                     # fuzz-smoke, bench-guard
+#                     # verify-suite, serve-smoke, bench-smoke, fuzz-smoke,
+#                     # bench-guard
 #   make lint         # run tvplint (see internal/analysis) over the module
 #   make bench        # the E1–E14 benchmark sweep + simulator throughput
 #   make bench-guard  # fail if hot-path allocations regress past baseline
@@ -10,6 +11,8 @@
 #   make verify-suite # encode + statically verify every built-in workload
 #   make serve-smoke  # end-to-end tvpd daemon check: endpoints, SIGTERM
 #                     # drain, cross-process persistent store sharing
+#   make bench-smoke  # the benchmark's own tests: cmd/tvpbench unit tests
+#                     # and a 1/50-scale run of all four workloads
 #   make report       # regenerate the full EXPERIMENTS.md report
 
 GO ?= go
@@ -46,11 +49,11 @@ BENCH_GUARD_ALLOCS ?= 285
 BENCH_GUARD_MIPS ?= 3.10
 BENCH_GUARD_MIPS_LOWIPC ?= 1.70
 
-.PHONY: check vet lint build test race bench bench-guard fuzz-smoke verify-suite serve-smoke report
+.PHONY: check vet lint build test race bench bench-guard bench-smoke fuzz-smoke verify-suite serve-smoke report
 
 # lint runs before test so an invariant violation fails fast, before the
 # (much slower) full suite.
-check: vet lint build race test verify-suite serve-smoke fuzz-smoke bench-guard
+check: vet lint build race test verify-suite serve-smoke bench-smoke fuzz-smoke bench-guard
 
 vet:
 	$(GO) vet ./...
@@ -127,6 +130,13 @@ verify-suite:
 # cmd/tvpd/main_test.go).
 serve-smoke:
 	$(GO) test ./cmd/tvpd -run='^(TestServeSmoke|TestStoreSharedAcrossProcesses)$$' -count=1 -v
+
+# Benchmark smoke: cmd/tvpbench is a Go module of its own, outside the
+# root ./..., so `make test` never reaches it. Its tests check the
+# percentile and self-time rules and the seeded schedules, and run every
+# workload at 1/50 scale against BENCHMARK.json (~10 s).
+bench-smoke:
+	cd cmd/tvpbench && $(GO) test ./...
 
 report:
 	$(GO) run ./cmd/tvpreport -cachestats

@@ -31,7 +31,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	tvp "repro"
 	"repro/internal/config"
@@ -42,20 +41,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-func parseVP(s string) (tvp.VPMode, error) {
-	switch strings.ToLower(s) {
-	case "", "off", "none", "baseline":
-		return tvp.VPOff, nil
-	case "mvp", "min":
-		return tvp.MVP, nil
-	case "tvp", "tar":
-		return tvp.TVP, nil
-	case "gvp", "gen":
-		return tvp.GVP, nil
-	}
-	return tvp.VPOff, fmt.Errorf("unknown VP mode %q (want off|mvp|tvp|gvp)", s)
-}
 
 // runCompare runs baseline, MVP, TVP and GVP on each workload and prints
 // per-benchmark speedups plus coverage, mirroring the paper's Fig. 3.
@@ -375,7 +360,7 @@ func main() {
 		exitCode = runVerifyOnly(*verifyP)
 		return
 	}
-	mode, err := parseVP(*vpFlag)
+	mode, err := config.ParseVPMode(*vpFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tvpsim:", err)
 		os.Exit(2)

@@ -10,6 +10,8 @@
 package cache
 
 import (
+	"math/bits"
+
 	"repro/internal/config"
 )
 
@@ -55,7 +57,7 @@ type Cache struct {
 	lineBits uint
 	setMask  uint64
 	next     Level
-	mshrs    []mshr
+	mshr     mshrFile
 	pf       Prefetcher
 	clock    uint64
 
@@ -87,10 +89,97 @@ const (
 	lnTagMask    = lnPrefetched - 1
 )
 
-type mshr struct {
-	valid bool
-	tag   uint64 // full line address
-	ready uint64
+// mshrFile is one level's miss status holding registers, kept as
+// struct-of-arrays with a one-word occupancy mask so every scan visits
+// only occupied entries, in ascending index order. The timing model
+// depends on that order: allocation takes the lowest free index, and an
+// MSHR conflict reuses the lowest-index entry among those retiring
+// earliest. Entries whose fill has returned are swept lazily (by alloc,
+// or one at a time by prefetchSlot), so until then a stale entry still
+// counts as in flight for merges. At most one occupied entry holds a
+// given line: fill and Prefetch both look for an in-flight fill of the
+// line before claiming a slot for it.
+type mshrFile struct {
+	tag   []uint64 // full line address
+	ready []uint64 // cycle the fill returns
+	valid uint64   // bit i set: entry i is occupied
+	all   uint64   // bits 0..len(tag)-1
+}
+
+func newMSHRFile(n int) mshrFile {
+	if n < 1 || n > config.MaxMSHRs {
+		panic("cache: MSHR count must be in 1..64")
+	}
+	buf := make([]uint64, 2*n) // one allocation backs both arrays
+	return mshrFile{
+		tag:   buf[:n:n],
+		ready: buf[n:],
+		all:   ^uint64(0) >> (64 - n),
+	}
+}
+
+// find returns the occupied entry tracking line la, or -1.
+//
+//tvp:hotpath
+func (f *mshrFile) find(la uint64) int {
+	for m := f.valid; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); f.tag[i] == la {
+			return i
+		}
+	}
+	return -1
+}
+
+// alloc frees every entry whose fill has returned by cycle and returns
+// the lowest free index, with start = cycle. When every entry is still
+// busy it returns conflict, the lowest-index entry among those retiring
+// earliest, and that retirement cycle as start.
+//
+//tvp:hotpath
+func (f *mshrFile) alloc(cycle uint64) (slot int, start uint64, conflict bool) {
+	earliest, victim := ^uint64(0), -1
+	for m := f.valid; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if r := f.ready[i]; r <= cycle {
+			f.valid &^= 1 << i
+		} else if r < earliest {
+			earliest, victim = r, i
+		}
+	}
+	if free := f.all &^ f.valid; free != 0 {
+		return bits.TrailingZeros64(free), cycle, false
+	}
+	return victim, earliest, true
+}
+
+// prefetchSlot returns the lowest index that is free or whose fill has
+// returned by cycle, or -1 when every entry is busy. Unlike alloc it
+// sweeps nothing else: a prefetch reclaims at most the one entry it uses.
+//
+//tvp:hotpath
+func (f *mshrFile) prefetchSlot(cycle uint64) int {
+	free := f.all &^ f.valid
+	below := f.valid // occupied entries below the lowest free index
+	if free != 0 {
+		below &= free&-free - 1
+	}
+	for m := below; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); f.ready[i] <= cycle {
+			return i
+		}
+	}
+	if free != 0 {
+		return bits.TrailingZeros64(free)
+	}
+	return -1
+}
+
+// set occupies entry i with a fill of line la returning at ready.
+//
+//tvp:hotpath
+func (f *mshrFile) set(i int, la, ready uint64) {
+	f.tag[i], f.ready[i] = la, ready
+	f.valid |= 1 << i
 }
 
 // New builds a cache level in front of next, optionally with a
@@ -103,7 +192,7 @@ func New(name string, cfg config.CacheConfig, next Level, pf Prefetcher) *Cache 
 		next:    next,
 		pf:      pf,
 		setMask: uint64(nsets - 1),
-		mshrs:   make([]mshr, cfg.MSHRs),
+		mshr:    newMSHRFile(cfg.MSHRs),
 	}
 	for cfg.LineBytes>>c.lineBits > 1 {
 		c.lineBits++
@@ -132,6 +221,7 @@ const chunkSets = 256
 
 // setOf returns the set's way slice, or nil when its chunk has not been
 // allocated (equivalent to an all-invalid set on the read path).
+//
 //tvp:hotpath
 func (c *Cache) setOf(si int) []line {
 	base := si * c.assoc
@@ -172,6 +262,7 @@ func (c *Cache) lookup(la uint64) *line {
 // Access implements Level for demand and prefetch requests arriving at
 // this cache. The returned cycle includes this level's load-to-use
 // latency on a hit, or the full fill path on a miss.
+//
 //tvp:hotpath
 func (c *Cache) Access(addr uint64, cycle uint64, write, prefetch bool) uint64 {
 	la := c.lineAddr(addr)
@@ -189,11 +280,8 @@ func (c *Cache) Access(addr uint64, cycle uint64, write, prefetch bool) uint64 {
 		ready = cycle + hitLat
 		// Hit under fill: if the line's fill is still in flight, data is
 		// not available before the fill returns.
-		for i := range c.mshrs {
-			if c.mshrs[i].valid && c.mshrs[i].tag == la && c.mshrs[i].ready > ready {
-				ready = c.mshrs[i].ready
-				break
-			}
+		if i := c.mshr.find(la); i >= 0 && c.mshr.ready[i] > ready {
+			ready = c.mshr.ready[i]
 		}
 		if ln.tag&lnPrefetched != 0 && !prefetch {
 			c.PFUseful++
@@ -227,11 +315,8 @@ func (c *Cache) Prefetch(addr uint64, cycle uint64) {
 	if c.lookup(la) != nil {
 		return // already present
 	}
-	// Already in flight?
-	for i := range c.mshrs {
-		if c.mshrs[i].valid && c.mshrs[i].tag == la {
-			return
-		}
+	if c.mshr.find(la) >= 0 {
+		return // already in flight
 	}
 	c.PFIssued++
 	c.fillPrefetch(la, addr, cycle+uint64(c.cfg.LoadToUse))
@@ -239,72 +324,43 @@ func (c *Cache) Prefetch(addr uint64, cycle uint64) {
 
 // fill handles a demand miss: MSHR merge/allocate, request from next
 // level, victim writeback, line install.
+//
 //tvp:hotpath
 func (c *Cache) fill(la, addr, cycle uint64, write, prefetch bool) uint64 {
 	// MSHR merge: a fill for this line is already in flight.
-	for i := range c.mshrs {
-		if c.mshrs[i].valid && c.mshrs[i].tag == la {
-			r := c.mshrs[i].ready
-			if r < cycle {
-				r = cycle
-			}
-			if write {
-				if ln := c.lookup(la); ln != nil {
-					ln.tag |= lnDirty
-				}
-			}
-			return r
+	if i := c.mshr.find(la); i >= 0 {
+		r := c.mshr.ready[i]
+		if r < cycle {
+			r = cycle
 		}
+		if write {
+			if ln := c.lookup(la); ln != nil {
+				ln.tag |= lnDirty
+			}
+		}
+		return r
 	}
 	// Allocate an MSHR; if all are busy, the request is delayed until the
-	// earliest one retires.
-	slot := -1
-	var earliest uint64 = ^uint64(0)
-	for i := range c.mshrs {
-		if !c.mshrs[i].valid || c.mshrs[i].ready <= cycle {
-			c.mshrs[i].valid = false
-			if slot < 0 {
-				slot = i
-			}
-		} else if c.mshrs[i].ready < earliest {
-			earliest = c.mshrs[i].ready
-		}
-	}
-	start := cycle
-	if slot < 0 {
+	// earliest one retires and takes its slot.
+	slot, start, conflict := c.mshr.alloc(cycle)
+	if conflict {
 		c.MSHRConflict++
-		start = earliest
-		// Re-scan: the earliest MSHR frees at 'start'; reuse its slot.
-		for i := range c.mshrs {
-			if c.mshrs[i].valid && c.mshrs[i].ready == earliest {
-				slot = i
-				c.mshrs[i].valid = false
-				break
-			}
-		}
 	}
 
 	ready := c.next.Access(addr, start, false, prefetch)
-	c.mshrs[slot] = mshr{valid: true, tag: la, ready: ready}
+	c.mshr.set(slot, la, ready)
 
 	c.install(la, write, prefetch, cycle)
 	return ready
 }
 
 func (c *Cache) fillPrefetch(la, addr, cycle uint64) {
-	slot := -1
-	for i := range c.mshrs {
-		if !c.mshrs[i].valid || c.mshrs[i].ready <= cycle {
-			c.mshrs[i].valid = false
-			slot = i
-			break
-		}
-	}
+	slot := c.mshr.prefetchSlot(cycle)
 	if slot < 0 {
 		return // no MSHR for a prefetch: drop it
 	}
 	ready := c.next.Access(addr, cycle, false, true)
-	c.mshrs[slot] = mshr{valid: true, tag: la, ready: ready}
+	c.mshr.set(slot, la, ready)
 	ln := c.install(la, false, true, cycle)
 	ln.tag |= lnPrefetched
 }

@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 )
 
 // VPMode selects the value prediction flavor (§3, §6.1).
@@ -43,6 +44,23 @@ func (m VPMode) String() string {
 	return fmt.Sprintf("VPMode(%d)", int(m))
 }
 
+// ParseVPMode parses a VP mode name as the command-line tools and the
+// daemon accept it, case-insensitively: "" (the baseline), off, none or
+// baseline; mvp or min; tvp or tar; gvp or gen.
+func ParseVPMode(s string) (VPMode, error) {
+	switch strings.ToLower(s) {
+	case "", "off", "none", "baseline":
+		return VPOff, nil
+	case "mvp", "min":
+		return MVP, nil
+	case "tvp", "tar":
+		return TVP, nil
+	case "gvp", "gen":
+		return GVP, nil
+	}
+	return VPOff, fmt.Errorf("unknown VP mode %q (want off|mvp|tvp|gvp)", s)
+}
+
 // FuncUnit describes one execution pipe: which µop classes it accepts
 // (bitmask over isa.Class) and whether it is pipelined.
 type FuncUnit struct {
@@ -63,8 +81,14 @@ type CacheConfig struct {
 	// LoadToUse is the hit latency in cycles (load-to-use for data
 	// caches, fetch latency for the L1I).
 	LoadToUse int
-	MSHRs     int
+	// MSHRs is the number of miss status holding registers, in
+	// 1..MaxMSHRs.
+	MSHRs int
 }
+
+// MaxMSHRs bounds CacheConfig.MSHRs: the cache model keeps a level's
+// MSHR occupancy in one 64-bit mask.
+const MaxMSHRs = 64
 
 // Sets returns the number of sets.
 func (c CacheConfig) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
@@ -433,9 +457,15 @@ func (m *Machine) Validate() error {
 	case m.VP.Mode != VPOff && len(m.VP.TableLog2) < 2:
 		return fmt.Errorf("config: VTAGE needs a base table and at least one tagged table")
 	}
-	for _, c := range []CacheConfig{m.L1I, m.L1D, m.L2, m.L3} {
-		if c.Sets() <= 0 || c.SizeBytes%(c.LineBytes*c.Assoc) != 0 {
-			return fmt.Errorf("config: cache geometry %v not a whole number of sets", c)
+	for _, l := range []struct {
+		name string
+		c    CacheConfig
+	}{{"L1I", m.L1I}, {"L1D", m.L1D}, {"L2", m.L2}, {"L3", m.L3}} {
+		if l.c.Sets() <= 0 || l.c.SizeBytes%(l.c.LineBytes*l.c.Assoc) != 0 {
+			return fmt.Errorf("config: cache geometry %v not a whole number of sets", l.c)
+		}
+		if l.c.MSHRs < 1 || l.c.MSHRs > MaxMSHRs {
+			return fmt.Errorf("config: %s has %d MSHRs, want 1..%d", l.name, l.c.MSHRs, MaxMSHRs)
 		}
 	}
 	if m.NineBitIdiom && m.VP.Mode == MVP {

@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultIsValid(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -158,6 +161,36 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 }
 
+func TestValidateBoundsMSHRs(t *testing.T) {
+	levels := []struct {
+		name  string
+		field func(*Machine) *CacheConfig
+	}{
+		{"L1I", func(m *Machine) *CacheConfig { return &m.L1I }},
+		{"L1D", func(m *Machine) *CacheConfig { return &m.L1D }},
+		{"L2", func(m *Machine) *CacheConfig { return &m.L2 }},
+		{"L3", func(m *Machine) *CacheConfig { return &m.L3 }},
+	}
+	cases := []struct {
+		mshrs int
+		ok    bool
+	}{{-1, false}, {0, false}, {1, true}, {56, true}, {MaxMSHRs, true}, {MaxMSHRs + 1, false}, {1 << 20, false}}
+	for _, l := range levels {
+		for _, c := range cases {
+			m := Default()
+			l.field(m).MSHRs = c.mshrs
+			err := m.Validate()
+			if (err == nil) != c.ok {
+				t.Errorf("%s MSHRs=%d: Validate() = %v, want ok=%v", l.name, c.mshrs, err, c.ok)
+				continue
+			}
+			if err != nil && !strings.Contains(err.Error(), l.name+" has") {
+				t.Errorf("%s MSHRs=%d: error %q does not name the level", l.name, c.mshrs, err)
+			}
+		}
+	}
+}
+
 func TestVPModeString(t *testing.T) {
 	names := map[VPMode]string{VPOff: "Baseline", MVP: "Min. VP", TVP: "Tar. VP", GVP: "Gen. VP"}
 	for m, want := range names {
@@ -171,5 +204,25 @@ func TestCacheSets(t *testing.T) {
 	c := CacheConfig{SizeBytes: 128 << 10, Assoc: 8, LineBytes: 64}
 	if c.Sets() != 256 {
 		t.Errorf("sets = %d, want 256", c.Sets())
+	}
+}
+
+func TestParseVPMode(t *testing.T) {
+	cases := []struct {
+		in   string
+		want VPMode
+		ok   bool
+	}{
+		{"", VPOff, true}, {"off", VPOff, true}, {"none", VPOff, true}, {"baseline", VPOff, true},
+		{"mvp", MVP, true}, {"min", MVP, true},
+		{"tvp", TVP, true}, {"tar", TVP, true}, {"TVP", TVP, true},
+		{"gvp", GVP, true}, {"gen", GVP, true}, {"Gen", GVP, true},
+		{"bogus", VPOff, false}, {"tvp ", VPOff, false}, {"Tar. VP", VPOff, false},
+	}
+	for _, c := range cases {
+		got, err := ParseVPMode(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseVPMode(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
 	}
 }

@@ -640,7 +640,7 @@ func (c *Core) commitMainStats(u *uop) {
 			} else {
 				c.st.VPTrainOnly++
 			}
-			c.vpred.Train(p.vpLookup, c.stream.At(u.seq).Result)
+			c.vpred.Train(&p.vpLookup, c.stream.At(u.seq).Result)
 		}
 	}
 }

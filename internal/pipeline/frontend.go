@@ -138,11 +138,11 @@ func (c *Core) firstFetch(d *emu.DynInst, p *predInfo) {
 	}
 
 	if c.vpred != nil && in.VPEligible() {
-		l := c.vpred.Predict(d.PC)
+		l := &p.vpLookup
+		c.vpred.Predict(d.PC, l)
 		p.vpValid = true
 		p.vpConf = l.Confident
 		p.vpValue = l.Value
-		p.vpLookup = l
 	}
 }
 

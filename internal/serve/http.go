@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/config"
@@ -110,20 +109,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func parseVP(s string) (config.VPMode, error) {
-	switch strings.ToLower(s) {
-	case "", "off", "none", "baseline":
-		return config.VPOff, nil
-	case "mvp", "min":
-		return config.MVP, nil
-	case "tvp", "tar":
-		return config.TVP, nil
-	case "gvp", "gen":
-		return config.GVP, nil
-	}
-	return config.VPOff, fmt.Errorf("unknown VP mode %q (want off|mvp|tvp|gvp)", s)
-}
-
 func knownWorkload(name string) bool {
 	for _, n := range workload.Names() {
 		if n == name {
@@ -144,7 +129,7 @@ func (r RunRequest) point() (report.Point, error) {
 	if r.Insts == 0 {
 		return report.Point{}, fmt.Errorf("insts must be positive")
 	}
-	mode, err := parseVP(r.VP)
+	mode, err := config.ParseVPMode(r.VP)
 	if err != nil {
 		return report.Point{}, err
 	}

@@ -178,11 +178,13 @@ func (p *Predictor) tag(pc uint64, ti int) uint16 {
 	return uint16((pc>>2 ^ h<<1 ^ uint64(ti)*0xc2b2ae35) & p.tables[ti].tagMask)
 }
 
-// Predict looks up a value prediction for the instruction at pc. It must
-// be called in fetch order; the returned Lookup must later be passed to
-// Train exactly once (at retirement), in order.
-func (p *Predictor) Predict(pc uint64) Lookup {
-	l := Lookup{provider: -1}
+// Predict looks up a value prediction for the instruction at pc into l,
+// which the caller owns (the pipeline passes its per-instruction slot, so
+// the ~100-byte Lookup is never copied). It must be called in fetch order;
+// l must later be passed to Train exactly once (at retirement), in order.
+// Predict writes every field Train reads; index and tag slots past the
+// configured tables keep whatever l held.
+func (p *Predictor) Predict(pc uint64, l *Lookup) {
 	bi := pc >> 2 & p.baseMask
 	l.indices[0] = uint32(bi)
 	for ti := 0; ti < p.nTagged; ti++ {
@@ -196,23 +198,23 @@ func (p *Predictor) Predict(pc uint64) Lookup {
 			l.Hit = true
 			l.Value = e.pred
 			l.Confident = e.conf >= p.confMax && !p.cfg.NeverConfident
-			return l
+			return
 		}
 	}
 	e := &p.base[bi]
+	l.provider = -1
 	l.Hit = true
 	l.Value = e.pred
 	l.Confident = e.conf >= p.confMax && !p.cfg.NeverConfident
-	return l
 }
 
 // Train updates the predictor with the architectural result of the
-// instruction whose Predict returned l. It implements FPC confidence:
+// instruction whose Predict filled l. It implements FPC confidence:
 // correct predictions increment confidence with probability 1/FPCInvProb;
 // incorrect ones reset it and (at zero confidence) replace the stored
 // value. Values the targeting mode cannot represent reset confidence and
 // never allocate (they are permanently filtered).
-func (p *Predictor) Train(l Lookup, actual uint64) {
+func (p *Predictor) Train(l *Lookup, actual uint64) {
 	representable := p.Representable(actual)
 	q := p.quantize(actual)
 

@@ -16,13 +16,20 @@ func newPred(mode config.VPMode) *Predictor {
 
 // trainStable feeds n instances of a stable value at pc and returns the
 // final lookup.
-func trainStable(p *Predictor, pc, v uint64, n int) Lookup {
-	var l Lookup
+// predict runs Predict into a fresh Lookup.
+func predict(p *Predictor, pc uint64) *Lookup {
+	l := new(Lookup)
+	p.Predict(pc, l)
+	return l
+}
+
+func trainStable(p *Predictor, pc, v uint64, n int) *Lookup {
+	var l *Lookup
 	for i := 0; i < n; i++ {
-		l = p.Predict(pc)
+		l = predict(p, pc)
 		p.Train(l, v)
 	}
-	return p.Predict(pc)
+	return predict(p, pc)
 }
 
 func TestStableValueSaturates(t *testing.T) {
@@ -42,7 +49,7 @@ func TestAlternatingValueNeverConfident(t *testing.T) {
 	pc := uint64(0x400200)
 	confident := 0
 	for i := 0; i < 4000; i++ {
-		l := p.Predict(pc)
+		l := predict(p, pc)
 		if l.Confident {
 			confident++
 		}
@@ -100,7 +107,7 @@ func TestMVPFiltersWideValues(t *testing.T) {
 	// A stable wide value is unrepresentable for MVP: it must never
 	// become a confident *correct* prediction.
 	for i := 0; i < 3000; i++ {
-		l := p.Predict(pc)
+		l := predict(p, pc)
 		if l.Confident && l.Value == 42 {
 			t.Fatal("MVP produced a confident prediction of a wide value")
 		}
@@ -182,18 +189,18 @@ func TestTrainRecoversAfterValueChange(t *testing.T) {
 	pc := uint64(0x400400)
 	trainStableN := func(v uint64, n int) {
 		for i := 0; i < n; i++ {
-			l := p.Predict(pc)
+			l := predict(p, pc)
 			p.Train(l, v)
 		}
 	}
 	trainStableN(7, 600)
-	if l := p.Predict(pc); !l.Confident || l.Value != 7 {
+	if l := predict(p, pc); !l.Confident || l.Value != 7 {
 		t.Fatal("did not learn first value")
 	} else {
 		p.Train(l, 7)
 	}
 	trainStableN(1234, 800)
-	l := p.Predict(pc)
+	l := predict(p, pc)
 	if !l.Confident || l.Value != 1234 {
 		t.Errorf("did not re-learn after phase change: conf=%v val=%d", l.Confident, l.Value)
 	}
@@ -211,7 +218,7 @@ func TestHistoryDistinguishesContexts(t *testing.T) {
 		p.PushHistory(ctx == 1)
 		p.PushHistory(ctx == 0)
 		p.PushHistory(true)
-		l := p.Predict(pc)
+		l := predict(p, pc)
 		v := uint64(100 + ctx)
 		if i > 10000 && l.Confident {
 			used++
@@ -275,7 +282,7 @@ func TestDynamicSilencingDecays(t *testing.T) {
 	// Accumulate correct trainings on a stable value to shrink the window.
 	pc := uint64(0x400800)
 	for i := 0; i < 3*1024+300; i++ {
-		l := p.Predict(pc)
+		l := predict(p, pc)
 		p.Train(l, 9)
 	}
 	p.Silence(10_000_000)
