@@ -1,9 +1,11 @@
 # Development gates for the TVP reproduction.
 #
-#   make check        # what CI runs: vet, lint, build, race on the
-#                     # concurrency-sensitive packages, full test suite,
-#                     # verify-suite, serve-smoke, bench-smoke, fuzz-smoke,
-#                     # bench-guard
+#   make check        # what CI runs: fmt-check, vet, lint, build, race on
+#                     # the concurrency-sensitive packages, full test
+#                     # suite, verify-suite, serve-smoke, bench-smoke,
+#                     # fuzz-smoke, bench-guard
+#   make fmt-check    # fail if any Go file outside the analyzer fixtures
+#                     # is not gofmt-clean
 #   make lint         # run tvplint (see internal/analysis) over the module
 #   make bench        # the E1–E14 benchmark sweep + simulator throughput
 #   make bench-guard  # fail if hot-path allocations regress past baseline
@@ -49,11 +51,17 @@ BENCH_GUARD_ALLOCS ?= 285
 BENCH_GUARD_MIPS ?= 3.10
 BENCH_GUARD_MIPS_LOWIPC ?= 1.70
 
-.PHONY: check vet lint build test race bench bench-guard bench-smoke fuzz-smoke verify-suite serve-smoke report
+.PHONY: check fmt-check vet lint build test race bench bench-guard bench-smoke fuzz-smoke verify-suite serve-smoke report
 
 # lint runs before test so an invariant violation fails fast, before the
 # (much slower) full suite.
-check: vet lint build race test verify-suite serve-smoke bench-smoke fuzz-smoke bench-guard
+check: fmt-check vet lint build race test verify-suite serve-smoke bench-smoke fuzz-smoke bench-guard
+
+# The analyzer fixtures under internal/analysis/testdata stay as written:
+# their layout is part of what the golden tests pin.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^internal/analysis/testdata/'); \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean (run gofmt -w):" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -24,10 +24,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -38,6 +38,7 @@ import (
 	"repro/internal/isa/verify"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -87,23 +88,10 @@ func runCompare(names []string, spsr bool, warm, insts uint64, xcheck bool) int 
 			fmt.Printf(" %8s %7s |", "-", "")
 			continue
 		}
-		g := 1.0
-		for _, v := range sp[j] {
-			g *= 1 + v/100
-		}
-		g = (pow(g, 1/float64(len(sp[j]))) - 1) * 100
-		fmt.Printf(" %+8.2f %7s |", g, "")
+		fmt.Printf(" %+8.2f %7s |", stats.GeomeanSpeedup(sp[j]), "")
 	}
 	fmt.Println()
 	return nerr
-}
-
-func pow(x, y float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// crude but dependency-free: exp(y*ln(x)) via math
-	return math.Pow(x, y)
 }
 
 // runInstrumented simulates the named workloads serially with telemetry
@@ -120,15 +108,8 @@ func runInstrumented(names []string, mode tvp.VPMode, spsr bool, warm, insts uin
 	}
 	nerr := 0
 	for _, n := range names {
-		spec, err := workload.Get(n)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tvpsim:", err)
-			nerr++
-			continue
-		}
-		core := pipeline.New(cfg, spec.Build())
 		tel := obs.New(obs.Config{Interval: interval, TopK: topk})
-		core.SetProbe(tel)
+		a := report.Attach{Probe: tel}
 		var konata *obs.Konata
 		if konataPath != "" {
 			f, err := os.Create(konataPath)
@@ -138,18 +119,21 @@ func runInstrumented(names []string, mode tvp.VPMode, spsr bool, warm, insts uin
 			}
 			defer f.Close()
 			konata = obs.NewKonata(f, 0)
-			core.SetTracer(konata)
+			a.Tracer = konata
 		}
-		res := core.Run(warm, insts)
+		p := report.Point{Workload: n, Cfg: cfg, Warmup: warm, Insts: insts}
+		res, err := report.Execute(context.Background(), p, a)
 		if konata != nil {
-			if err := konata.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tvpsim:", err)
-				nerr++
+			if cerr := konata.Close(); cerr != nil && err == nil {
+				err = cerr
 			}
 		}
-		rec := tel.Record(obs.RunMeta{
-			Workload: n, Cfg: cfg, Warmup: warm, Insts: insts,
-		}, res.Stats)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tvpsim:", err)
+			nerr++
+			continue
+		}
+		rec := tel.Record(obs.RunMeta{Workload: n, Cfg: cfg, Warmup: warm, Insts: insts}, res.Stats)
 		if jsonOut {
 			if err := enc.Encode(rec); err != nil {
 				fmt.Fprintln(os.Stderr, "tvpsim:", err)
@@ -162,56 +146,13 @@ func runInstrumented(names []string, mode tvp.VPMode, spsr bool, warm, insts uin
 	return nerr
 }
 
-// runCPIStack simulates the named workloads with commit-slot accounting
-// armed and prints the top-down CPI stack: the percent of post-warmup
-// commit slots per bucket (each row sums to 100% — the accounting is an
-// exact decomposition of cycles × commit width). Returns the number of
-// failed runs.
-func runCPIStack(names []string, mode tvp.VPMode, spsr bool, warm, insts uint64, xcheck bool) int {
-	cfg := config.Default().WithVP(mode).WithSpSR(spsr)
-	cfg.CrossCheck = xcheck
-	fmt.Printf("%-22s %8s", "workload", "IPC")
-	for _, b := range (&stats.CPIStack{}).Buckets() {
-		fmt.Printf(" %8s", b.Name)
-	}
-	fmt.Println()
-	nerr := 0
-	for _, n := range names {
-		spec, err := workload.Get(n)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tvpsim:", err)
-			nerr++
-			continue
-		}
-		core := pipeline.New(cfg, spec.Build())
-		core.EnableCPIStack()
-		res := core.Run(warm, insts)
-		fmt.Printf("%-22s %8.3f", n, res.Stats.IPC())
-		total := float64(res.CPI.Total())
-		for _, b := range res.CPI.Buckets() {
-			p := 0.0
-			if total > 0 {
-				p = 100 * float64(b.Slots) / total
-			}
-			fmt.Printf(" %8.3f", p)
-		}
-		fmt.Println()
-	}
-	return nerr
-}
-
 // runPipetrace attaches a pipeline-view tracer and simulates just far
 // enough to print the first n committed µops.
-func runPipetrace(name string, mode tvp.VPMode, spsr bool, n int) {
-	spec, err := workload.Get(name)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tvpsim:", err)
-		os.Exit(2)
-	}
+func runPipetrace(name string, mode tvp.VPMode, spsr bool, n int) error {
 	cfg := config.Default().WithVP(mode).WithSpSR(spsr)
-	core := pipeline.New(cfg, spec.Build())
-	core.SetTracer(pipeline.NewPipeview(os.Stdout, n))
-	core.Run(0, uint64(n)+64)
+	p := report.Point{Workload: name, Cfg: cfg, Insts: uint64(n) + 64}
+	_, err := report.Execute(context.Background(), p, report.Attach{Tracer: pipeline.NewPipeview(os.Stdout, n)})
+	return err
 }
 
 // runVerifyOnly statically verifies a TVPB container and prints every
@@ -383,21 +324,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tvpsim: -pipetrace needs a single -workload")
 			os.Exit(2)
 		}
-		runPipetrace(names[0], mode, *spsr, *ptrace)
-		return
-	}
-
-	if *cpistk {
-		if *jsonOut || *konata != "" {
-			fmt.Fprintln(os.Stderr, "tvpsim: -json/-konata cannot be combined with -cpistack")
-			os.Exit(2)
-		}
-		if runCPIStack(names, mode, *spsr, *warm, *insts, *xcheck) > 0 {
-			exitCode = 1
+		if err := runPipetrace(names[0], mode, *spsr, *ptrace); err != nil {
+			fmt.Fprintln(os.Stderr, "tvpsim:", err)
+			exitCode = 2
 		}
 		return
 	}
 
+	if *cpistk && (*jsonOut || *konata != "") {
+		fmt.Fprintln(os.Stderr, "tvpsim: -json/-konata cannot be combined with -cpistack")
+		os.Exit(2)
+	}
 	if *jsonOut || *konata != "" {
 		if *konata != "" && len(names) != 1 {
 			fmt.Fprintln(os.Stderr, "tvpsim: -konata needs a single -workload")
@@ -415,20 +352,52 @@ func main() {
 	}
 	results, errs := tvp.RunMany(opts)
 
-	printHeader()
+	if *cpistk {
+		printCPIHeader()
+	} else {
+		printHeader()
+	}
 	for i, r := range results {
 		if errs[i] != nil {
 			fmt.Printf("%-22s error: %v\n", names[i], errs[i])
 			exitCode = 1
 			continue
 		}
-		printRow(r.Workload, &r.Stats)
+		if *cpistk {
+			printCPIRow(&r)
+		} else {
+			printRow(r.Workload, &r.Stats)
+		}
 	}
 }
 
 func printHeader() {
 	fmt.Printf("%-22s %8s %8s %7s %7s %7s %7s %8s %8s\n",
 		"workload", "IPC", "uops/in", "MPKI", "L1DMPKI", "VPcov%", "VPacc%", "elim%", "spsr%")
+}
+
+// printCPIHeader and printCPIRow render the top-down CPI stack: the
+// percent of post-warmup commit slots per bucket (each row sums to 100%
+// — the accounting is an exact decomposition of cycles × commit width).
+func printCPIHeader() {
+	fmt.Printf("%-22s %8s", "workload", "IPC")
+	for _, b := range (&stats.CPIStack{}).Buckets() {
+		fmt.Printf(" %8s", b.Name)
+	}
+	fmt.Println()
+}
+
+func printCPIRow(r *tvp.Result) {
+	fmt.Printf("%-22s %8.3f", r.Workload, r.Stats.IPC())
+	total := float64(r.CPI.Total())
+	for _, b := range r.CPI.Buckets() {
+		p := 0.0
+		if total > 0 {
+			p = 100 * float64(b.Slots) / total
+		}
+		fmt.Printf(" %8.3f", p)
+	}
+	fmt.Println()
 }
 
 func printRow(name string, st *tvp.Stats) {

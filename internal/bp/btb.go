@@ -47,6 +47,7 @@ func (b *BTB) set(pc uint64) ([]btbEntry, uint64) {
 }
 
 // Lookup returns the stored target for pc, if present.
+//
 //tvp:hotpath
 func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 	set, tag := b.set(pc)
@@ -61,6 +62,7 @@ func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 }
 
 // Insert records pc → target, evicting the LRU way on conflict.
+//
 //tvp:hotpath
 func (b *BTB) Insert(pc, target uint64) {
 	set, tag := b.set(pc)

@@ -44,6 +44,7 @@ func NewMemory() *Memory {
 
 // readPage returns the page containing addr for reading, or nil if
 // unmapped.
+//
 //tvp:hotpath
 func (m *Memory) readPage(addr uint64) *[pageSize]byte {
 	pn := addr >> pageShift
@@ -60,6 +61,7 @@ func (m *Memory) readPage(addr uint64) *[pageSize]byte {
 
 // writePage returns a privately owned page containing addr, allocating or
 // copying a snapshot-shared page as needed.
+//
 //tvp:hotpath
 func (m *Memory) writePage(addr uint64) *[pageSize]byte {
 	pn := addr >> pageShift
@@ -96,6 +98,7 @@ func (m *Memory) invalidateCache() {
 }
 
 // LoadByte returns the byte at addr.
+//
 //tvp:hotpath
 func (m *Memory) LoadByte(addr uint64) byte {
 	p := m.readPage(addr)
@@ -106,6 +109,7 @@ func (m *Memory) LoadByte(addr uint64) byte {
 }
 
 // StoreByte stores b at addr.
+//
 //tvp:hotpath
 func (m *Memory) StoreByte(addr uint64, b byte) {
 	m.writePage(addr)[addr&pageMask] = b
@@ -113,6 +117,7 @@ func (m *Memory) StoreByte(addr uint64, b byte) {
 
 // Read returns the little-endian unsigned value of the given size (1, 2, 4
 // or 8 bytes) at addr. Accesses may straddle page boundaries.
+//
 //tvp:hotpath
 func (m *Memory) Read(addr uint64, size uint8) uint64 {
 	off := addr & pageMask
@@ -140,6 +145,7 @@ func (m *Memory) Read(addr uint64, size uint8) uint64 {
 }
 
 // Write stores the low size bytes of v at addr, little-endian.
+//
 //tvp:hotpath
 func (m *Memory) Write(addr uint64, v uint64, size uint8) {
 	off := addr & pageMask

@@ -306,7 +306,7 @@ func absAnd(a, b AbsVal) AbsVal {
 		return r
 	}
 	kz := a.known & ^a.bits | b.known & ^b.bits // known-zero in either
-	kb := a.known & b.known                    // known in both
+	kb := a.known & b.known                     // known in both
 	out := AbsVal{
 		lo:    0,
 		hi:    minU64(a.hi, b.hi),
@@ -320,7 +320,7 @@ func absOr(a, b AbsVal) AbsVal {
 	if r, ok := pairwise(a, b, func(x, y uint64) uint64 { return x | y }); ok {
 		return r
 	}
-	ko := a.known & a.bits | b.known & b.bits // known-one in either
+	ko := a.known&a.bits | b.known&b.bits // known-one in either
 	kb := a.known & b.known
 	out := AbsVal{
 		lo:    maxU64(a.lo, b.lo),

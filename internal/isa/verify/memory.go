@@ -42,9 +42,9 @@ type memModel struct {
 	stack span
 
 	// Assumed summary (stable input for this iteration).
-	smashed   []span             // canonical: sorted, disjoint, merged
-	cells     map[uint64]AbsVal  // exact 8-byte store targets → joined value
-	cellAddrs []uint64           // sorted keys of cells
+	smashed   []span            // canonical: sorted, disjoint, merged
+	cells     map[uint64]AbsVal // exact 8-byte store targets → joined value
+	cellAddrs []uint64          // sorted keys of cells
 
 	// Observed summary (accumulates this iteration's stores).
 	obsSmashed []span

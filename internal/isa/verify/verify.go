@@ -30,8 +30,8 @@ import (
 	"sort"
 
 	"repro/internal/isa"
-	"repro/internal/prog"
 	"repro/internal/isa/tvpb"
+	"repro/internal/prog"
 )
 
 // Severity grades a diagnostic. Only Error makes a program unrunnable;
@@ -59,7 +59,7 @@ func (s Severity) String() string {
 
 // Diag is one structured, position-exact finding.
 type Diag struct {
-	Check string   // analysis that produced it: struct, target, fallthrough, halt, defuse, bounds, selfmod, indirect, loop, converge, decode
+	Check string // analysis that produced it: struct, target, fallthrough, halt, defuse, bounds, selfmod, indirect, loop, converge, decode
 	Sev   Severity
 	Index int    // instruction index, -1 for program-level findings
 	PC    uint64 // byte address of Index (0 when Index < 0)
@@ -180,8 +180,8 @@ type verifier struct {
 	mem   *memModel
 	marks []uint64
 
-	pre   []Diag            // structural pre-pass findings (kept across iterations)
-	diags map[diagKey]Diag  // per-iteration findings (reset each outer round)
+	pre   []Diag           // structural pre-pass findings (kept across iterations)
+	diags map[diagKey]Diag // per-iteration findings (reset each outer round)
 
 	// Call-string contexts: the fixpoint analyzes (instruction, context)
 	// pairs so that states flowing in from distinct call sites never

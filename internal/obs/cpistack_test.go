@@ -139,7 +139,8 @@ func TestTopPCAddWeighted(t *testing.T) {
 }
 
 // TestHeartbeatCPILine: RunDoneStats aggregates skip % and the top
-// CPI-stack bucket into the progress line; plain RunDone leaves both out.
+// CPI-stack bucket into the progress line; a run without cycles or a
+// stack leaves both out.
 func TestHeartbeatCPILine(t *testing.T) {
 	var buf bytes.Buffer
 	h := NewHeartbeat(&buf)
@@ -164,7 +165,7 @@ func TestHeartbeatCPILine(t *testing.T) {
 	buf.Reset()
 	h2 := NewHeartbeat(&buf)
 	h2.AddPlanned(1)
-	h2.RunDone(500, false)
+	h2.RunDoneStats(500, false, 0, 0, nil)
 	h2.Finish()
 	if line := buf.String(); strings.Contains(line, "skip") || strings.Contains(line, "top ") {
 		t.Errorf("CPI-less heartbeat grew CPI fields: %q", line)

@@ -58,17 +58,13 @@ func (h *Heartbeat) SetWorkers(n int) {
 	h.mu.Unlock()
 }
 
-// RunDone records one finished run. simInsts is how many instructions
-// were actually simulated for it (0 for a cache recall); cached marks a
-// memoized point. A line is printed if the throttle period has elapsed.
-func (h *Heartbeat) RunDone(simInsts uint64, cached bool) {
-	h.RunDoneStats(simInsts, cached, 0, 0, nil)
-}
-
-// RunDoneStats is RunDone with cycle-accounting detail: cycles/skipped
-// feed the skipped-cycle percentage and cpi (nil when the run carried no
-// CPI accounting) feeds the running top-bucket readout. Cached recalls
-// pass zeros — the line reports what was actually simulated.
+// RunDoneStats records one finished run. simInsts is how many
+// instructions were actually simulated for it (0 for a cache recall);
+// cached marks a memoized point. cycles/skipped feed the skipped-cycle
+// percentage and cpi (nil when the run carried no CPI accounting) feeds
+// the running top-bucket readout. Cached recalls pass zeros — the line
+// reports what was actually simulated. A line is printed if the
+// throttle period has elapsed.
 func (h *Heartbeat) RunDoneStats(simInsts uint64, cached bool, cycles, skipped uint64, cpi *stats.CPIStack) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -164,16 +164,10 @@ func NewSweepLog() *SweepLog {
 	return &SweepLog{start: time.Now(), byKey: make(map[sweepKey]int)}
 }
 
-// Add records one completed run. Duplicate points (repeated across
-// figures) update the run counters but keep a single record, marked
-// Cached if any occurrence was a cache recall.
-func (l *SweepLog) Add(meta RunMeta, totals stats.Sim) {
-	l.AddCPI(meta, totals, nil)
-}
-
-// AddCPI is Add for runs that carried CPI-stack accounting; the stack is
-// embedded in the point's record (and backfilled onto a CPI-less
-// duplicate from another figure).
+// AddCPI records one completed run and its CPI stack (nil when the run
+// carried no accounting). Duplicate points (repeated across figures)
+// update the run counters but keep a single record, marked Cached if any
+// occurrence was a cache recall.
 func (l *SweepLog) AddCPI(meta RunMeta, totals stats.Sim, cpi *stats.CPIStack) {
 	key := sweepKey{
 		workload:   meta.Workload,
@@ -199,9 +193,6 @@ func (l *SweepLog) AddCPI(meta RunMeta, totals stats.Sim, cpi *stats.CPIStack) {
 	if i, ok := l.byKey[key]; ok {
 		if meta.Cached {
 			l.records[i].Cached = true
-		}
-		if cpi != nil && l.records[i].CPI == (stats.CPIStack{}) {
-			l.records[i].CPI = *cpi
 		}
 		return
 	}

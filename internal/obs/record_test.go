@@ -103,13 +103,13 @@ func TestSweepLogDedupAndCounters(t *testing.T) {
 	var st stats.Sim
 	st.ArchInsts = 100
 
-	l.Add(meta, st) // fresh simulation
+	l.AddCPI(meta, st, nil) // fresh simulation
 	cachedMeta := meta
 	cachedMeta.Cached = true
-	l.Add(cachedMeta, st) // same point recalled
+	l.AddCPI(cachedMeta, st, nil) // same point recalled
 	other := meta
 	other.Workload = "w2"
-	l.Add(other, st)
+	l.AddCPI(other, st, nil)
 
 	recs := l.Records()
 	if len(recs) != 2 {
@@ -137,7 +137,7 @@ func TestSweepLogDedupAndCounters(t *testing.T) {
 func TestSweepLogWriteDir(t *testing.T) {
 	dir := t.TempDir()
 	l := NewSweepLog()
-	l.Add(RunMeta{Workload: "w", Cfg: config.Default(), Warmup: 1, Insts: 2}, stats.Sim{})
+	l.AddCPI(RunMeta{Workload: "w", Cfg: config.Default(), Warmup: 1, Insts: 2}, stats.Sim{}, nil)
 	if err := l.WriteDir(dir, 1, 1); err != nil {
 		t.Fatal(err)
 	}

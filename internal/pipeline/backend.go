@@ -12,6 +12,7 @@ import (
 // load/store queues), in program order, after the rename-to-dispatch
 // delay. Rename-eliminated µops never dispatch (§4.1: they consume
 // neither a scheduler entry nor an issue slot).
+//
 //tvp:hotpath
 func (c *Core) dispatch() {
 	for n := 0; n < c.cfg.DispatchWidth && c.dispCnt > 0; n++ {
@@ -75,6 +76,7 @@ func (c *Core) dispatch() {
 // once; GVP repair only raises them), and it remains a valid lower
 // bound even when a further source has no issued producer yet — that
 // source can only delay the µop more, never less.
+//
 //tvp:hotpath
 func (c *Core) srcsReady(u *uop) (bool, uint64) {
 	ready := true
@@ -114,6 +116,7 @@ func (c *Core) srcsReady(u *uop) (bool, uint64) {
 
 // storePending reports whether the store with the given dynamic sequence
 // number is still in the store queue without having generated its address.
+//
 //tvp:hotpath
 func (c *Core) storePending(seq uint64) bool {
 	for _, si := range c.sq.live() {
@@ -173,6 +176,7 @@ func (c *Core) fuInit() {
 }
 
 // allocFU finds a free functional unit able to execute the class.
+//
 //tvp:hotpath
 func (c *Core) allocFU(class isa.Class) int {
 	avail := c.fus.classMask[class] &^ (c.fus.usedMask | c.fus.busyMask)
@@ -187,6 +191,7 @@ func (c *Core) allocFU(class isa.Class) int {
 // times (including cache access for loads). Under the wakeup scoreboard
 // (scoreboard.go) the scan covers only the ready set; this polling loop
 // is the DisableWakeupScoreboard oracle.
+//
 //tvp:hotpath
 func (c *Core) issue() {
 	if c.useSB {
@@ -226,6 +231,7 @@ func (c *Core) issue() {
 }
 
 // doIssue executes the timing of one µop.
+//
 //tvp:hotpath
 func (c *Core) doIssue(u *uop, fu int) {
 	u.state = stIssued
@@ -332,6 +338,7 @@ func (c *Core) classLatency(u *uop) uint64 {
 
 // issueLoad performs address generation, store-to-load forwarding, and
 // the cache access.
+//
 //tvp:hotpath
 func (c *Core) issueLoad(u *uop) {
 	u.executedMem = true
@@ -373,6 +380,7 @@ func (c *Core) issueLoad(u *uop) {
 // load that already executed with an overlapping address read stale data,
 // so the pipeline flushes at that load and the store sets learn the pair
 // (§Table 2 Store Sets row).
+//
 //tvp:hotpath
 func (c *Core) issueStore(u *uop) {
 	u.executedMem = true
@@ -393,6 +401,7 @@ func (c *Core) issueStore(u *uop) {
 
 // complete retires execution: validation of value predictions, branch
 // resolution (fetch resume), and PRF write accounting.
+//
 //tvp:hotpath
 func (c *Core) complete() {
 	c.flushedThisCycle = false
@@ -450,6 +459,7 @@ func (c *Core) complete() {
 
 // validateVP checks a used prediction against the computed result. It
 // returns false when a flush occurred.
+//
 //tvp:hotpath
 func (c *Core) validateVP(u *uop) bool {
 	p, _ := c.pred(u.seq)
@@ -508,6 +518,7 @@ func (c *Core) validateVP(u *uop) bool {
 // updating the committed RAT, training the value predictor from the
 // VP-tracking FIFO, performing store writebacks, and accumulating the
 // paper's per-category elimination statistics.
+//
 //tvp:hotpath
 func (c *Core) commit() {
 	for n := 0; n < c.cfg.CommitWidth && c.robCnt > 0; n++ {
@@ -584,6 +595,7 @@ func (c *Core) commit() {
 // commitMainStats accumulates per-instruction statistics at retirement of
 // the main µop: elimination categories (Fig. 4), VP coverage metrics
 // (§6.1), and value predictor training (§3.3: the FIFO drains at retire).
+//
 //tvp:hotpath
 func (c *Core) commitMainStats(u *uop) {
 	in := c.instOf(u)
@@ -647,6 +659,7 @@ func (c *Core) commitMainStats(u *uop) {
 
 // syncMemStats copies cache/TLB/prefetch counters into the stats block so
 // snapshot subtraction (warmup exclusion) covers them.
+//
 //tvp:hotpath
 func (c *Core) syncMemStats() {
 	c.st.L1IAccesses, c.st.L1IMisses = c.mem.L1I.Accesses, c.mem.L1I.Misses

@@ -111,14 +111,14 @@ type Core struct {
 	// (indexed by ROB slot, lockstep with rob): the complete/commit/skip
 	// scans poll only this dense uint64 array instead of dragging each
 	// 128-byte uop line through the cache to read one field.
-	robReady     []uint64
-	robHead      int
-	robTail      int
-	robCnt       int
-	dispPtr      int // ring index of the next µop to dispatch
-	dispCnt      int // µops renamed but not yet dispatched
-	iq           []int32
-	iqWake       []uint64 // per-iq-entry issue lower bound (lockstep with iq); 0 = recheck every cycle
+	robReady []uint64
+	robHead  int
+	robTail  int
+	robCnt   int
+	dispPtr  int // ring index of the next µop to dispatch
+	dispCnt  int // µops renamed but not yet dispatched
+	iq       []int32
+	iqWake   []uint64 // per-iq-entry issue lower bound (lockstep with iq); 0 = recheck every cycle
 	// Wakeup scoreboard (scoreboard.go): the event-driven replacement for
 	// the polling iq/iqWake scan, selected by useSB. Producers keep
 	// singly-linked waiter lists of IQ entries (per physical register and
@@ -451,6 +451,7 @@ func (c *Core) Run(warmup, maxInsts uint64) Result {
 // step advances the machine by one cycle — or, when every stage is
 // provably idle, first jumps the cycle counter to the next wake event
 // (skip.go) and runs the stages there.
+//
 //tvp:hotpath
 func (c *Core) step() {
 	// Mature the wake wheel before trySkip (and again after a jump), so
@@ -529,6 +530,7 @@ func (c *Core) headState() string {
 // pred returns the fetch-time predictor record for seq; fresh reports
 // whether this is the first fetch of this dynamic instance (predictors
 // must only be queried and trained once per instance).
+//
 //tvp:hotpath
 func (c *Core) pred(seq uint64) (p *predInfo, fresh bool) {
 	p = &c.predRing[seq&(emu.DefaultStreamCapacity-1)]

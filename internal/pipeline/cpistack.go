@@ -106,6 +106,7 @@ func (c *Core) cpiSample() {
 
 // stallSum is the structural-stall counter total; per-cycle movement is
 // the ticked-path equivalent of trySkip's renROB/renPRF/dispBlock flags.
+//
 //tvp:hotpath
 func (c *Core) stallSum() uint64 {
 	return c.st.ROBFullStalls + c.st.IQFullStalls + c.st.LQFullStalls +
@@ -114,6 +115,7 @@ func (c *Core) stallSum() uint64 {
 
 // cpiBegin opens one executed cycle's accounting. Runs after trySkip so
 // the stall-counter snapshot excludes any delta-at-jump credit.
+//
 //tvp:hotpath
 func (c *Core) cpiBegin() {
 	a := c.acct
@@ -125,6 +127,7 @@ func (c *Core) cpiBegin() {
 // the cycle's idle slots are classified against end-of-cycle state —
 // the same state trySkip would have inspected at the top of the next
 // step, so executed-cycle and skipped-span attribution agree.
+//
 //tvp:hotpath
 func (c *Core) cpiAccount() {
 	a := c.acct
@@ -145,6 +148,7 @@ func (c *Core) cpiAccount() {
 // in one jump, classified exactly as cycle n would have been ticked; see
 // the span-invariance argument in the file comment. structural mirrors
 // the renROB/renPRF/dispBlock flags trySkip derived for the span.
+//
 //tvp:hotpath
 func (c *Core) cpiSkip(n, delta uint64, structural bool) {
 	slots := delta * uint64(c.cfg.CommitWidth)
@@ -175,6 +179,7 @@ func (c *Core) cpiSkip(n, delta uint64, structural bool) {
 //     a memory access → backend-memory; anything else (waiting in the
 //     scheduler, executing a non-memory op, or completed with its
 //     result still in flight) → backend-core.
+//
 //tvp:hotpath
 func (c *Core) classifyIdle(at uint64, structural bool) *uint64 {
 	a := &c.acct.st

@@ -12,6 +12,7 @@ import (
 // (once per dynamic instance), enforces taken-branch and BTB-mistarget
 // bubbles, stalls behind mispredicted branches until they resolve, and
 // charges L1I/ITLB latency per fetched line.
+//
 //tvp:hotpath
 func (c *Core) fetch() {
 	if c.haltSeen || c.cycle < c.fetchStallUntil || c.waitBranchSeq != 0 {
@@ -79,6 +80,7 @@ func (c *Core) fetch() {
 // conditional direction prediction (TAGE), target prediction (BTB, RAS,
 // indirect cache), global history maintenance for both TAGE and VTAGE, and
 // the value predictor probe.
+//
 //tvp:hotpath
 func (c *Core) firstFetch(d *emu.DynInst, p *predInfo) {
 	in := d.Inst
@@ -285,6 +287,7 @@ const dqCap = 32
 
 // decode moves instructions from the fetch queue to the µop queue,
 // cracking pre/post-index memory operations into two µops.
+//
 //tvp:hotpath
 func (c *Core) decode() {
 	for n := 0; n < c.cfg.DecodeWidth && c.fetchQ.len() > 0; n++ {
@@ -324,6 +327,7 @@ func (c *Core) decode() {
 // destinations through DSR idiom elimination, move elimination, 9-bit
 // idiom elimination, SpSR, value prediction, or a fresh physical register,
 // in that priority order. Renamed µops enter the ROB.
+//
 //tvp:hotpath
 func (c *Core) renameStage() {
 	for n := 0; n < c.cfg.RenameWidth && c.decodeQ.len() > 0; n++ {
@@ -360,6 +364,7 @@ func (c *Core) renameStage() {
 }
 
 // renameUop fills one ROB entry.
+//
 //tvp:hotpath
 func (c *Core) renameUop(u *uop, idx int32, e *dqEntry) {
 	c.uSeqCtr++
@@ -471,6 +476,7 @@ func (c *Core) renameUop(u *uop, idx int32, e *dqEntry) {
 
 // renameBaseUpdate renames the address-increment µop of a pre/post-index
 // access: it reads the old base and writes a fresh physical register.
+//
 //tvp:hotpath
 func (c *Core) renameBaseUpdate(u *uop, in *isa.Inst) {
 	base := c.ren.SrcInt(in.Rn)
@@ -490,6 +496,7 @@ func (c *Core) renameBaseUpdate(u *uop, in *isa.Inst) {
 
 // applyReduction retires a rename-time reduction: the µop completes at
 // rename, never dispatching to the IQ (§4.1).
+//
 //tvp:hotpath
 func (c *Core) applyReduction(u *uop, in *isa.Inst, d rename.Decision) {
 	u.eliminated = true
@@ -547,6 +554,7 @@ func (c *Core) defShared(u *uop, rd isa.Reg, n rename.Name, spec bool) {
 // tryValuePredict applies the VP rename policy for a confident prediction
 // (§3.1/§3.2). The instruction still dispatches and executes so the
 // prediction can be validated in place at the functional unit (§3.3).
+//
 //tvp:hotpath
 func (c *Core) tryValuePredict(u *uop, in *isa.Inst) {
 	if c.vpred == nil || !in.VPEligible() {
@@ -606,6 +614,7 @@ func (c *Core) tryValuePredict(u *uop, in *isa.Inst) {
 // read the PRF). The obstacle set and order come from the static source
 // plan; the bit order of sp* is collection order, so testing the bits
 // low-to-high reproduces the old opcode switch exactly.
+//
 //tvp:hotpath
 func (c *Core) collectSrcs(u *uop, plan uint8, in *isa.Inst, srcN, srcM *rename.Operand) {
 	if plan&spN != 0 && !srcN.Known {
@@ -644,6 +653,7 @@ func (c *Core) collectSrcs(u *uop, plan uint8, in *isa.Inst, srcN, srcM *rename.
 
 // renameDest allocates a fresh physical destination for a non-eliminated,
 // non-value-predicted µop.
+//
 //tvp:hotpath
 func (c *Core) renameDest(u *uop, in *isa.Inst) {
 	if isa.IsFP(in.Op) {

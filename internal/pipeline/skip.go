@@ -50,6 +50,7 @@ import "math/bits"
 // step(), so between-step observation points (warmup snapshot, probe
 // samples, the Run loop) see exactly the cycle values of a tick-by-tick
 // run.
+//
 //tvp:hotpath
 func (c *Core) trySkip() {
 	n := c.cycle

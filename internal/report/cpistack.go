@@ -1,30 +1,17 @@
 package report
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-
 	"repro/internal/config"
-	"repro/internal/obs"
-	"repro/internal/pipeline"
-	"repro/internal/simcache"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
-// CPI-stack experiment: "where do the cycles go". Every workload is run
-// under the baseline and under TVP+SpSR with commit-slot accounting
-// armed, and the report renders the top-down bucket breakdown side by
-// side — the cycle-level complement of the Fig. 3/Fig. 5 speedup tables
-// (the speedup shows THAT the cycles moved; the stack shows WHICH
-// buckets they moved between).
-//
-// CPI runs carry more state than stats.Sim, so they have their own
-// memoization keyed the same way as runCache (the stats in a cpiPoint
-// are bit-identical to the unaccounted run's — guaranteed by the
-// pipeline's zero-interference tests — but the cached value types
-// differ).
+// CPI-stack experiment: "where do the cycles go". The report renders the
+// top-down bucket breakdown of every workload under the baseline and
+// under TVP+SpSR side by side — the cycle-level complement of the
+// Fig. 3/Fig. 5 speedup tables (the speedup shows THAT the cycles moved;
+// the stack shows WHICH buckets they moved between). Every run carries
+// its stack (Execute always arms the accounting), so these are the
+// same cached runs Fig. 2 and Fig. 4b read.
 
 // CPIRow is one workload's stacks under base and TVP+SpSR.
 type CPIRow struct {
@@ -33,138 +20,18 @@ type CPIRow struct {
 	TVP      stats.CPIStack
 }
 
-// cpiPoint is one memoized CPI-accounted run.
-type cpiPoint struct {
-	St      stats.Sim
-	CPI     stats.CPIStack
-	Cycles  uint64 // total simulated cycles including warmup
-	Skipped uint64 // cycles absorbed by event-driven skipping
-}
-
-var cpiCache = simcache.New[simcache.RunKey, cpiPoint]()
-
-// ResetCPICache clears the CPI-run memoization (tests).
-func ResetCPICache() { cpiCache.Reset() }
-
-// simulateCPI executes one CPI-accounted timing run, uncached.
-func (c Config) simulateCPI(s runSpec) (cpiPoint, error) {
-	var core *pipeline.Core
-	warmup := c.Warmup
-	if c.FastWarmup {
-		snap, err := workload.Checkpoint(s.workload, c.Warmup)
-		if err != nil {
-			return cpiPoint{}, err
-		}
-		core = pipeline.NewFromEmulator(s.cfg, snap.Restore())
-		warmup = 0
-	} else {
-		p, err := workload.Program(s.workload)
-		if err != nil {
-			return cpiPoint{}, err
-		}
-		core = pipeline.New(s.cfg, p)
-	}
-	core.EnableCPIStack()
-	res := core.Run(warmup, c.Insts)
-	return cpiPoint{St: res.Stats, CPI: res.CPI, Cycles: res.Cycles, Skipped: core.SkippedCycles()}, nil
-}
-
-// runOneCPI executes (or recalls) one CPI-accounted run through the
-// memoization layer, reporting to the optional telemetry sinks.
-func (c Config) runOneCPI(s runSpec) (cpiPoint, error) {
-	observed := c.Heartbeat != nil || c.Obs != nil
-	var pt cpiPoint
-	var err error
-	cached := false
-	if c.NoCache {
-		pt, err = c.simulateCPI(s)
-	} else {
-		key := simcache.RunKey{
-			Workload:   s.workload,
-			ConfigFP:   s.cfg.Fingerprint(),
-			Warmup:     c.Warmup,
-			Insts:      c.Insts,
-			FastWarmup: c.FastWarmup,
-		}
-		if observed {
-			_, cached = cpiCache.Get(key)
-		}
-		pt, err = cpiCache.Do(key, func() (cpiPoint, error) { return c.simulateCPI(s) })
-	}
-	if !observed || err != nil {
-		return pt, err
-	}
-	var simulated uint64
-	if !cached {
-		simulated = c.Insts
-		if !c.FastWarmup {
-			simulated += c.Warmup
-		}
-	}
-	if c.Heartbeat != nil {
-		c.Heartbeat.RunDoneStats(simulated, cached, pt.Cycles, pt.Skipped, &pt.CPI)
-	}
-	if c.Obs != nil {
-		c.Obs.AddCPI(obs.RunMeta{
-			Workload:   s.workload,
-			Cfg:        s.cfg,
-			Warmup:     c.Warmup,
-			Insts:      c.Insts,
-			FastWarmup: c.FastWarmup,
-			Cached:     cached,
-		}, pt.St, &pt.CPI)
-	}
-	return pt, err
-}
-
-// runAllCPI is runAll for CPI-accounted runs: same worker pool, same
-// slot-indexed spec-order output, same joined error reporting.
-func (c Config) runAllCPI(specs []runSpec) ([]cpiPoint, error) {
-	if c.Heartbeat != nil {
-		c.Heartbeat.AddPlanned(len(specs))
-	}
-	out := make([]cpiPoint, len(specs))
-	errs := make([]error, len(specs))
-	sem := make(chan struct{}, c.workers())
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pt, err := c.runOneCPI(specs[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("workload %s: %w", specs[i].workload, err)
-				return
-			}
-			out[i] = pt
-		}(i)
-	}
-	wg.Wait()
-	return out, errors.Join(errs...)
-}
-
 // CPIStacks runs the suite under base and TVP+SpSR with commit-slot
 // accounting and returns the per-workload bucket stacks. Each stack
 // decomposes exactly: Total() == post-warmup cycles × CommitWidth.
 func CPIStacks(c Config) ([]CPIRow, error) {
 	names := c.names()
-	tvp := c.base().WithVP(config.TVP).WithSpSR(true)
-	specs := make([]runSpec, 0, len(names)*2)
-	for _, n := range names {
-		specs = append(specs,
-			runSpec{workload: n, cfg: c.base()},
-			runSpec{workload: n, cfg: tvp},
-		)
-	}
-	pts, err := c.runAllCPI(specs)
+	rs, err := c.sweep(names, c.base(), c.base().WithVP(config.TVP).WithSpSR(true))
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]CPIRow, len(names))
 	for i, n := range names {
-		rows[i] = CPIRow{Workload: n, Base: pts[i*2].CPI, TVP: pts[i*2+1].CPI}
+		rows[i] = CPIRow{Workload: n, Base: rs[i*2].CPI, TVP: rs[i*2+1].CPI}
 	}
 	return rows, nil
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/config"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -77,7 +79,7 @@ func TestCPICacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := CPIStacks(c) // served from cpiCache
+	rows2, err := CPIStacks(c) // served from the run cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +93,39 @@ func TestCPICacheEquivalence(t *testing.T) {
 		if rows1[i] != rows2[i] || rows1[i] != rows3[i] {
 			t.Errorf("row %d differs across cached/recached/uncached:\n%+v\n%+v\n%+v",
 				i, rows1[i], rows2[i], rows3[i])
+		}
+	}
+}
+
+// TestCPIStacksReuseRunCache: the CPI stacks are the runs Fig. 2 (base)
+// and Fig. 4b (TVP+SpSR) already put in the run cache — CPIStacks adds
+// no miss — and they equal an uncached CPIStacks row for row.
+func TestCPIStacksReuseRunCache(t *testing.T) {
+	c := tiny()
+	ResetRunCache()
+	if _, _, _, err := Fig2(c); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Fig4(c, config.TVP); err != nil {
+		t.Fatal(err)
+	}
+	_, m0 := RunCacheCounters()
+	rows, err := CPIStacks(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, m1 := RunCacheCounters(); m1 != m0 {
+		t.Errorf("CPIStacks added %d run-cache misses after Fig2 and Fig4b, want 0", m1-m0)
+	}
+	un := c
+	un.NoCache = true
+	want, err := CPIStacks(un)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if rows[i] != want[i] {
+			t.Errorf("row %d: cached %+v, uncached %+v", i, rows[i], want[i])
 		}
 	}
 }

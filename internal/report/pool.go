@@ -92,6 +92,17 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
+// Each runs fn(0), …, fn(n-1) on a private pool of workers goroutines
+// (<= 0: runtime.NumCPU()) and returns when all of them have finished.
+// It is the fan-out of the figure sweeps, Fig. 1 and tvp.RunMany.
+func Each(workers, n int, fn func(i int)) {
+	p := NewPool(workers, 0)
+	for i := 0; i < n; i++ {
+		_ = p.Submit(context.Background(), func() { fn(i) }) // cannot fail: open pool, no deadline
+	}
+	p.Close() // runs every accepted job before returning
+}
+
 // Workers reports the pool width.
 func (p *Pool) Workers() int { return p.workers }
 

@@ -19,12 +19,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/emu"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/simcache"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -142,19 +140,27 @@ func (c Config) workers() int {
 // and -j help text.
 func (c Config) EffectiveWorkers() int { return c.workers() }
 
-// runSpec names one timing run.
-type runSpec struct {
-	workload string
-	cfg      *config.Machine
+// sweep runs every workload under every configuration at the configured
+// run length (workload-major: result i*len(cfgs)+k is names[i] on
+// cfgs[k]).
+func (c Config) sweep(names []string, cfgs ...*config.Machine) ([]Result, error) {
+	pts := make([]Point, 0, len(names)*len(cfgs))
+	for _, n := range names {
+		for _, cf := range cfgs {
+			pts = append(pts, Point{Workload: n, Cfg: cf, Warmup: c.Warmup, Insts: c.Insts, FastWarmup: c.FastWarmup})
+		}
+	}
+	return c.runAll(pts)
 }
 
 // runCache memoizes timing runs process-wide, keyed by (workload, machine
 // fingerprint, run length). The paper's figures re-simulate the same
 // points over and over — every figure re-runs the baseline, Fig. 5
-// re-runs Fig. 3's MVP/TVP points, Table 3's 1× row is Fig. 3 again — so
-// across a full E1–E14 sweep most runs are cache hits, and singleflight
-// deduplication lets concurrent experiments share an in-flight execution.
-var runCache = simcache.New[simcache.RunKey, stats.Sim]()
+// re-runs Fig. 3's MVP/TVP points, Table 3's 1× row is Fig. 3 again, the
+// CPI stacks are Fig. 2's and Fig. 4b's runs — so across a full E1–E14
+// sweep most runs are cache hits, and singleflight deduplication lets
+// concurrent experiments share an in-flight execution.
+var runCache = simcache.New[simcache.RunKey, Result]()
 
 // RunCacheCounters exposes the run cache's cumulative hits and misses
 // (for diagnostics and the cmd/tvpreport summary line).
@@ -162,6 +168,11 @@ func RunCacheCounters() (hits, misses uint64) { return runCache.Counters() }
 
 // ResetRunCache clears the process-wide run memoization (tests).
 func ResetRunCache() { runCache.Reset() }
+
+// ResetCPICache clears the run memoization.
+//
+// Deprecated: CPI stacks share the run cache; use ResetRunCache.
+func ResetCPICache() { ResetRunCache() }
 
 // traceShare carries one workload group's lazily recorded functional
 // instruction trace across the group's sequential runs: the functional
@@ -184,162 +195,121 @@ type traceShare struct {
 // never runs off the end of a non-halted trace.
 const traceSlack = emu.DefaultStreamCapacity + 64
 
-// sharedTrace returns the group's recording, making it on first use.
-func (c Config) sharedTrace(w string, sh *traceShare) (*emu.Trace, error) {
-	if sh.done {
+// get returns the group's recording for p, making it on first use.
+// CrossCheck points get none: the shadow oracle needs the live emulator.
+func (sh *traceShare) get(p Point) (*emu.Trace, error) {
+	if p.Cfg.CrossCheck || sh.done {
 		return sh.tr, sh.err
 	}
 	sh.done = true
-	if c.FastWarmup {
-		snap, err := workload.Checkpoint(w, c.Warmup)
+	if p.FastWarmup {
+		snap, err := workload.Checkpoint(p.Workload, p.Warmup)
 		if err != nil {
 			sh.err = err
 			return nil, err
 		}
-		sh.tr = emu.RecordTrace(snap.Restore(), c.Insts+traceSlack)
+		sh.tr = emu.RecordTrace(snap.Restore(), p.Insts+traceSlack)
 		return sh.tr, nil
 	}
-	p, err := workload.Program(w)
+	prg, err := workload.Program(p.Workload)
 	if err != nil {
 		sh.err = err
 		return nil, err
 	}
-	sh.tr = emu.RecordTrace(emu.New(p), c.Warmup+c.Insts+traceSlack)
+	sh.tr = emu.RecordTrace(emu.New(prg), p.Warmup+p.Insts+traceSlack)
 	return sh.tr, nil
 }
 
-// simulate executes one timing run, uncached. With a trace share (the
-// batched sweep path) the core replays the group's shared functional
-// recording — bit-identical results to a live-emulator run
-// (TestBatchedSweepMatchesSerial), one functional execution per workload
-// instead of one per configuration. CrossCheck runs keep the live
-// emulator (the shadow oracle requires it).
-func (c Config) simulate(s runSpec, share *traceShare) (stats.Sim, error) {
-	if share != nil && !s.cfg.CrossCheck {
-		tr, err := c.sharedTrace(s.workload, share)
+// runOne executes (or recalls) one run through the memoization layer,
+// replaying the group's shared trace on a miss — bit-identical to a
+// live-emulator run (TestBatchedSweepMatchesSerial) — and reporting to
+// the optional telemetry sinks.
+func (c Config) runOne(p Point, share *traceShare) (Result, error) {
+	simulate := func() (Result, error) {
+		tr, err := share.get(p)
 		if err != nil {
-			return stats.Sim{}, err
+			return Result{}, err
 		}
-		warm := c.Warmup
-		if c.FastWarmup {
-			warm = 0
-		}
-		return pipeline.NewFromTrace(s.cfg, tr).Run(warm, c.Insts).Stats, nil
+		return Execute(context.Background(), p, Attach{Trace: tr})
 	}
-	if c.FastWarmup {
-		snap, err := workload.Checkpoint(s.workload, c.Warmup)
-		if err != nil {
-			return stats.Sim{}, err
-		}
-		return pipeline.NewFromEmulator(s.cfg, snap.Restore()).Run(0, c.Insts).Stats, nil
-	}
-	p, err := workload.Program(s.workload)
-	if err != nil {
-		return stats.Sim{}, err
-	}
-	return pipeline.New(s.cfg, p).Run(c.Warmup, c.Insts).Stats, nil
-}
-
-// runOne executes (or recalls) one timing run through the memoization
-// layer, reporting to the optional telemetry sinks.
-func (c Config) runOne(s runSpec, share *traceShare) (stats.Sim, error) {
 	observed := c.Heartbeat != nil || c.Obs != nil
-	var st stats.Sim
+	var r Result
 	var err error
 	cached := false
 	if c.NoCache {
-		st, err = c.simulate(s, share)
+		r, err = simulate()
 	} else {
-		key := simcache.RunKey{
-			Workload:   s.workload,
-			ConfigFP:   s.cfg.Fingerprint(),
-			Warmup:     c.Warmup,
-			Insts:      c.Insts,
-			FastWarmup: c.FastWarmup,
-		}
+		key := p.Key()
 		if observed {
 			// Peek so the sinks can distinguish recalls from fresh
 			// simulations; Do below still owns the singleflight semantics.
 			_, cached = runCache.Get(key)
 		}
-		st, err = runCache.Do(key, func() (stats.Sim, error) { return c.simulate(s, share) })
+		r, err = runCache.Do(key, simulate)
 	}
 	if !observed || err != nil {
-		return st, err
-	}
-	var simulated uint64
-	if !cached {
-		simulated = c.Insts
-		if !c.FastWarmup {
-			simulated += c.Warmup
-		}
+		return r, err
 	}
 	if c.Heartbeat != nil {
-		c.Heartbeat.RunDone(simulated, cached)
+		// A recall reports zeros: the line covers what was simulated.
+		var done Result
+		var simulated uint64
+		if !cached {
+			done, simulated = r, p.Insts
+			if !p.FastWarmup {
+				simulated += p.Warmup
+			}
+		}
+		c.Heartbeat.RunDoneStats(simulated, cached, done.Cycles, done.Skipped, &done.CPI)
 	}
 	if c.Obs != nil {
-		c.Obs.Add(obs.RunMeta{
-			Workload:   s.workload,
-			Cfg:        s.cfg,
-			Warmup:     c.Warmup,
-			Insts:      c.Insts,
-			FastWarmup: c.FastWarmup,
+		c.Obs.AddCPI(obs.RunMeta{
+			Workload:   p.Workload,
+			Cfg:        p.Cfg,
+			Warmup:     p.Warmup,
+			Insts:      p.Insts,
+			FastWarmup: p.FastWarmup,
 			Cached:     cached,
-		}, st)
+		}, r.Stats, &r.CPI)
 	}
-	return st, err
+	return r, nil
 }
 
-// runAll executes the specs on a sweep worker Pool (Config.Workers
-// wide) and returns stats in spec order — slot-indexed writes keep the
-// output independent of completion order and byte-identical to the
-// serial path. Specs are grouped by workload (order-preserving): each
+// runAll executes the points on a sweep worker Pool (Config.Workers
+// wide) and returns results in point order — slot-indexed writes keep
+// the output independent of completion order and byte-identical to the
+// serial path. Points are grouped by workload (order-preserving): each
 // group runs sequentially on one worker slot over a shared functional
 // trace recorded at most once (lazily, on the first cache miss), so a
 // sweep of N configurations over one workload pays for one emulator run
 // instead of N. Holding the slot for the whole group bounds live trace
 // memory to one recording per worker. Failures are collected (not
 // panicked) and reported together, each wrapped with its workload name.
-func (c Config) runAll(specs []runSpec) ([]stats.Sim, error) {
+func (c Config) runAll(pts []Point) ([]Result, error) {
 	if c.Heartbeat != nil {
-		c.Heartbeat.AddPlanned(len(specs))
+		c.Heartbeat.AddPlanned(len(pts))
 	}
-	out := make([]stats.Sim, len(specs))
-	errs := make([]error, len(specs))
+	out := make([]Result, len(pts))
+	errs := make([]error, len(pts))
 	var order []string
 	groups := make(map[string][]int)
-	for i, s := range specs {
-		if _, ok := groups[s.workload]; !ok {
-			order = append(order, s.workload)
+	for i, p := range pts {
+		if _, ok := groups[p.Workload]; !ok {
+			order = append(order, p.Workload)
 		}
-		groups[s.workload] = append(groups[s.workload], i)
+		groups[p.Workload] = append(groups[p.Workload], i)
 	}
-	pool := NewPool(c.workers(), 0)
-	defer pool.Close()
-	var wg sync.WaitGroup
-	for _, w := range order {
-		idxs := groups[w]
-		wg.Add(1)
-		err := pool.Submit(context.Background(), func() {
-			defer wg.Done()
-			var share traceShare
-			for _, i := range idxs {
-				st, err := c.runOne(specs[i], &share)
-				if err != nil {
-					errs[i] = fmt.Errorf("workload %s: %w", specs[i].workload, err)
-					continue
-				}
-				out[i] = st
+	Each(c.workers(), len(order), func(g int) {
+		var share traceShare
+		for _, i := range groups[order[g]] {
+			r, err := c.runOne(pts[i], &share)
+			if err != nil {
+				errs[i] = fmt.Errorf("workload %s: %w", pts[i].Workload, err)
+				continue
 			}
-		})
-		if err != nil { // unreachable with a private pool; belt and braces
-			wg.Done()
-			for _, i := range idxs {
-				errs[i] = err
-			}
+			out[i] = r
 		}
-	}
-	wg.Wait()
+	})
 	return out, errors.Join(errs...)
 }
 
@@ -399,23 +369,14 @@ func Fig1(c Config, topN int) ([]ValueCount, error) {
 	names := c.paperNames()
 	hs := make([]valueHist, len(names))
 	errs := make([]error, len(names))
-	sem := make(chan struct{}, c.workers())
-	var wg sync.WaitGroup
-	for i, n := range names {
-		wg.Add(1)
-		go func(i int, n string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			h, err := valueHistogram(n, c.Insts)
-			if err != nil {
-				errs[i] = fmt.Errorf("workload %s: %w", n, err)
-				return
-			}
-			hs[i] = h
-		}(i, n)
-	}
-	wg.Wait()
+	Each(c.workers(), len(names), func(i int) {
+		h, err := valueHistogram(names[i], c.Insts)
+		if err != nil {
+			errs[i] = fmt.Errorf("workload %s: %w", names[i], err)
+			return
+		}
+		hs[i] = h
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -461,11 +422,7 @@ type Fig2Row struct {
 // Fig2 runs the baseline machine on every workload.
 func Fig2(c Config) ([]Fig2Row, float64, float64, error) {
 	names := c.names()
-	specs := make([]runSpec, len(names))
-	for i, n := range names {
-		specs[i] = runSpec{workload: n, cfg: c.base()}
-	}
-	sts, err := c.runAll(specs)
+	rs, err := c.sweep(names, c.base())
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -473,7 +430,8 @@ func Fig2(c Config) ([]Fig2Row, float64, float64, error) {
 	rows := make([]Fig2Row, len(names))
 	uops := make([]float64, 0, nAgg)
 	ipcs := make([]float64, 0, nAgg)
-	for i, st := range sts {
+	for i := range rs {
+		st := &rs[i].Stats
 		rows[i] = Fig2Row{Workload: names[i], UopsPerInst: st.UopsPerInst(), IPC: st.IPC()}
 		if agg(names[i]) {
 			uops = append(uops, st.UopsPerInst())
@@ -505,14 +463,8 @@ type Fig3Summary struct {
 // Fig3 runs baseline + MVP + TVP + GVP on every workload.
 func Fig3(c Config) ([]Fig3Row, Fig3Summary, error) {
 	names := c.names()
-	modes := []config.VPMode{config.VPOff, config.MVP, config.TVP, config.GVP}
-	specs := make([]runSpec, 0, len(names)*len(modes))
-	for _, n := range names {
-		for _, m := range modes {
-			specs = append(specs, runSpec{workload: n, cfg: c.base().WithVP(m)})
-		}
-	}
-	sts, err := c.runAll(specs)
+	b := c.base()
+	rs, err := c.sweep(names, b.WithVP(config.VPOff), b.WithVP(config.MVP), b.WithVP(config.TVP), b.WithVP(config.GVP))
 	if err != nil {
 		return nil, Fig3Summary{}, err
 	}
@@ -521,10 +473,10 @@ func Fig3(c Config) ([]Fig3Row, Fig3Summary, error) {
 	var sum Fig3Summary
 	var speedups [3][]float64
 	for i, n := range names {
-		base := sts[i*4].IPC()
+		base := rs[i*4].Stats.IPC()
 		row := Fig3Row{Workload: n, BaseIPC: base}
 		for m := 0; m < 3; m++ {
-			st := sts[i*4+1+m]
+			st := &rs[i*4+1+m].Stats
 			row.Speedup[m] = (st.IPC()/base - 1) * 100
 			row.Coverage[m] = 100 * st.VPCoverage()
 			row.Accuracy[m] = 100 * st.VPAccuracy()
@@ -572,42 +524,42 @@ func Table3(c Config) ([]Table3Row, error) {
 	names := c.paperNames()
 	modes := []config.VPMode{config.MVP, config.TVP, config.GVP}
 	rows := make([]Table3Row, len(deltas))
-
-	// Baselines once.
-	baseSpecs := make([]runSpec, len(names))
-	for i, n := range names {
-		baseSpecs[i] = runSpec{workload: n, cfg: c.base()}
-	}
-	baseSts, err := c.runAll(baseSpecs)
+	baseRs, err := c.sweep(names, c.base()) // baselines once
 	if err != nil {
 		return nil, err
 	}
-
 	for di, dl := range deltas {
 		row := Table3Row{Label: dl.label, Log2Delta: dl.d}
-		specs := make([]runSpec, 0, len(names)*3)
-		for _, n := range names {
-			for _, m := range modes {
-				specs = append(specs, runSpec{workload: n, cfg: c.base().WithVPBudgetScale(dl.d).WithVP(m)})
-			}
-		}
-		sts, err := c.runAll(specs)
+		row.Geomean, err = c.vpGeomeans(names, baseRs, func(m config.VPMode) *config.Machine {
+			return c.base().WithVPBudgetScale(dl.d).WithVP(m)
+		})
 		if err != nil {
 			return nil, err
 		}
 		for mi, m := range modes {
-			var pcts []float64
-			for ni := range names {
-				base := baseSts[ni].IPC()
-				st := sts[ni*3+mi]
-				pcts = append(pcts, (st.IPC()/base-1)*100)
-			}
-			row.Geomean[mi] = stats.GeomeanSpeedup(pcts)
 			row.StorageKB[mi] = StorageKB(c.base().WithVPBudgetScale(dl.d), m)
 		}
 		rows[di] = row
 	}
 	return rows, nil
+}
+
+// vpGeomeans runs the MVP, TVP and GVP machines mk builds over names and
+// returns each flavor's geomean speedup over the baseline results base.
+func (c Config) vpGeomeans(names []string, base []Result, mk func(config.VPMode) *config.Machine) ([3]float64, error) {
+	var geo [3]float64
+	rs, err := c.sweep(names, mk(config.MVP), mk(config.TVP), mk(config.GVP))
+	if err != nil {
+		return geo, err
+	}
+	for mi := range geo {
+		pcts := make([]float64, len(names))
+		for ni := range names {
+			pcts[ni] = (rs[ni*3+mi].Stats.IPC()/base[ni].Stats.IPC() - 1) * 100
+		}
+		geo[mi] = stats.GeomeanSpeedup(pcts)
+	}
+	return geo, nil
 }
 
 // ---- Fig. 4: rename-elimination breakdown ----
@@ -628,11 +580,7 @@ type Fig4Row struct {
 // workload and reports the elimination breakdown.
 func Fig4(c Config, mode config.VPMode) ([]Fig4Row, Fig4Row, error) {
 	names := c.names()
-	specs := make([]runSpec, len(names))
-	for i, n := range names {
-		specs[i] = runSpec{workload: n, cfg: c.base().WithVP(mode).WithSpSR(true)}
-	}
-	sts, err := c.runAll(specs)
+	rs, err := c.sweep(names, c.base().WithVP(mode).WithSpSR(true))
 	if err != nil {
 		return nil, Fig4Row{}, err
 	}
@@ -640,7 +588,8 @@ func Fig4(c Config, mode config.VPMode) ([]Fig4Row, Fig4Row, error) {
 	rows := make([]Fig4Row, len(names))
 	var mean Fig4Row
 	mean.Workload = "amean"
-	for i, st := range sts {
+	for i := range rs {
+		st := &rs[i].Stats
 		r := Fig4Row{
 			Workload:  names[i],
 			ZeroIdiom: 100 * st.ElimFraction(st.ZeroIdiomElim),
@@ -677,20 +626,13 @@ type Fig5Row struct {
 // Fig5 runs the four configurations of Fig. 5 plus the baseline.
 func Fig5(c Config) ([]Fig5Row, [4]float64, error) {
 	names := c.names()
-	cfgs := []*config.Machine{
-		c.base().WithVP(config.MVP),
-		c.base().WithVP(config.MVP).WithSpSR(true),
-		c.base().WithVP(config.TVP),
-		c.base().WithVP(config.TVP).WithSpSR(true),
-	}
-	specs := make([]runSpec, 0, len(names)*5)
-	for _, n := range names {
-		specs = append(specs, runSpec{workload: n, cfg: c.base()})
-		for _, cf := range cfgs {
-			specs = append(specs, runSpec{workload: n, cfg: cf})
-		}
-	}
-	sts, err := c.runAll(specs)
+	b := c.base()
+	rs, err := c.sweep(names, b,
+		b.WithVP(config.MVP),
+		b.WithVP(config.MVP).WithSpSR(true),
+		b.WithVP(config.TVP),
+		b.WithVP(config.TVP).WithSpSR(true),
+	)
 	if err != nil {
 		return nil, [4]float64{}, err
 	}
@@ -698,10 +640,10 @@ func Fig5(c Config) ([]Fig5Row, [4]float64, error) {
 	rows := make([]Fig5Row, len(names))
 	var pcts [4][]float64
 	for i, n := range names {
-		base := sts[i*5].IPC()
+		base := rs[i*5].Stats.IPC()
 		row := Fig5Row{Workload: n}
 		for k := 0; k < 4; k++ {
-			row.Speedup[k] = (sts[i*5+1+k].IPC()/base - 1) * 100
+			row.Speedup[k] = (rs[i*5+1+k].Stats.IPC()/base - 1) * 100
 			if agg(n) {
 				pcts[k] = append(pcts[k], row.Speedup[k])
 			}
@@ -742,24 +684,21 @@ func Fig6(c Config) ([]Fig6Row, error) {
 		{"Gen. VP", c.base().WithVP(config.GVP)},
 		{"Gen. VP + SpSR", c.base().WithVP(config.GVP).WithSpSR(true)},
 	}
-	specs := make([]runSpec, 0, len(names)*(len(cfgs)+1))
-	for _, n := range names {
-		specs = append(specs, runSpec{workload: n, cfg: c.base()})
-		for _, cd := range cfgs {
-			specs = append(specs, runSpec{workload: n, cfg: cd.cfg})
-		}
+	machines := []*config.Machine{c.base()}
+	for _, cd := range cfgs {
+		machines = append(machines, cd.cfg)
 	}
-	sts, err := c.runAll(specs)
+	rs, err := c.sweep(names, machines...)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig6Row, len(cfgs))
-	per := len(cfgs) + 1
+	per := len(machines)
 	for k, cd := range cfgs {
 		var rd, wr, add, iss float64
 		for i := range names {
-			base := sts[i*per]
-			st := sts[i*per+1+k]
+			base := &rs[i*per].Stats
+			st := &rs[i*per+1+k].Stats
 			rd += pct(st.IntPRFReads, base.IntPRFReads)
 			wr += pct(st.IntPRFWrites, base.IntPRFWrites)
 			add += pct(st.IQAdded, base.IQAdded)
@@ -789,38 +728,21 @@ type SilencingRow struct {
 // AblationSilencing sweeps the misprediction silencing window.
 func AblationSilencing(c Config, windows []int) ([]SilencingRow, error) {
 	names := c.paperNames()
-	baseSpecs := make([]runSpec, len(names))
-	for i, n := range names {
-		baseSpecs[i] = runSpec{workload: n, cfg: c.base()}
-	}
-	baseSts, err := c.runAll(baseSpecs)
+	baseRs, err := c.sweep(names, c.base())
 	if err != nil {
 		return nil, err
 	}
-	modes := []config.VPMode{config.MVP, config.TVP, config.GVP}
 	rows := make([]SilencingRow, len(windows))
 	for wi, wnd := range windows {
-		specs := make([]runSpec, 0, len(names)*3)
-		for _, n := range names {
-			for _, m := range modes {
-				cf := c.base().WithVP(m)
-				cf.VP.SilenceCycles = wnd
-				specs = append(specs, runSpec{workload: n, cfg: cf})
-			}
-		}
-		sts, err := c.runAll(specs)
+		rows[wi].Cycles = wnd
+		rows[wi].Geomean, err = c.vpGeomeans(names, baseRs, func(m config.VPMode) *config.Machine {
+			cf := c.base().WithVP(m)
+			cf.VP.SilenceCycles = wnd
+			return cf
+		})
 		if err != nil {
 			return nil, err
 		}
-		row := SilencingRow{Cycles: wnd}
-		for mi := range modes {
-			var pcts []float64
-			for ni := range names {
-				pcts = append(pcts, (sts[ni*3+mi].IPC()/baseSts[ni].IPC()-1)*100)
-			}
-			row.Geomean[mi] = stats.GeomeanSpeedup(pcts)
-		}
-		rows[wi] = row
 	}
 	return rows, nil
 }
@@ -830,41 +752,22 @@ func AblationSilencing(c Config, windows []int) ([]SilencingRow, error) {
 // flavor.
 func AblationDynamicSilence(c Config) (fixed, dynamic [3]float64, err error) {
 	names := c.paperNames()
-	baseSpecs := make([]runSpec, len(names))
-	for i, n := range names {
-		baseSpecs[i] = runSpec{workload: n, cfg: c.base()}
-	}
-	baseSts, err := c.runAll(baseSpecs)
+	baseRs, err := c.sweep(names, c.base())
 	if err != nil {
 		return fixed, dynamic, err
 	}
-	modes := []config.VPMode{config.MVP, config.TVP, config.GVP}
-	for variant := 0; variant < 2; variant++ {
-		specs := make([]runSpec, 0, len(names)*3)
-		for _, n := range names {
-			for _, m := range modes {
-				cf := c.base().WithVP(m)
-				cf.VP.DynamicSilence = variant == 1
-				specs = append(specs, runSpec{workload: n, cfg: cf})
-			}
-		}
-		sts, err := c.runAll(specs)
-		if err != nil {
-			return fixed, dynamic, err
-		}
-		for mi := range modes {
-			var pcts []float64
-			for ni := range names {
-				pcts = append(pcts, (sts[ni*3+mi].IPC()/baseSts[ni].IPC()-1)*100)
-			}
-			if variant == 0 {
-				fixed[mi] = stats.GeomeanSpeedup(pcts)
-			} else {
-				dynamic[mi] = stats.GeomeanSpeedup(pcts)
-			}
+	silencing := func(dyn bool) func(config.VPMode) *config.Machine {
+		return func(m config.VPMode) *config.Machine {
+			cf := c.base().WithVP(m)
+			cf.VP.DynamicSilence = dyn
+			return cf
 		}
 	}
-	return fixed, dynamic, nil
+	if fixed, err = c.vpGeomeans(names, baseRs, silencing(false)); err != nil {
+		return fixed, dynamic, err
+	}
+	dynamic, err = c.vpGeomeans(names, baseRs, silencing(true))
+	return fixed, dynamic, err
 }
 
 // AblationValidation contrasts in-place validation at the functional
@@ -874,30 +777,23 @@ func AblationDynamicSilence(c Config) (fixed, dynamic [3]float64, err error) {
 // 22% PRF reads over baseline", §6.1).
 func AblationValidation(c Config) (speedup [2]float64, prfReads [2]float64, err error) {
 	names := c.paperNames()
-	baseSpecs := make([]runSpec, len(names))
-	for i, n := range names {
-		baseSpecs[i] = runSpec{workload: n, cfg: c.base()}
-	}
-	baseSts, err := c.runAll(baseSpecs)
+	baseRs, err := c.sweep(names, c.base())
 	if err != nil {
 		return speedup, prfReads, err
 	}
 	for variant := 0; variant < 2; variant++ {
-		specs := make([]runSpec, 0, len(names))
-		for _, n := range names {
-			cf := c.base().WithVP(config.GVP)
-			cf.VP.ValidateAtRetire = variant == 1
-			specs = append(specs, runSpec{workload: n, cfg: cf})
-		}
-		sts, err := c.runAll(specs)
+		cf := c.base().WithVP(config.GVP)
+		cf.VP.ValidateAtRetire = variant == 1
+		rs, err := c.sweep(names, cf)
 		if err != nil {
 			return speedup, prfReads, err
 		}
 		var pcts []float64
 		var rd float64
 		for ni := range names {
-			pcts = append(pcts, (sts[ni].IPC()/baseSts[ni].IPC()-1)*100)
-			rd += pct(sts[ni].IntPRFReads, baseSts[ni].IntPRFReads) / float64(len(names))
+			st, base := &rs[ni].Stats, &baseRs[ni].Stats
+			pcts = append(pcts, (st.IPC()/base.IPC()-1)*100)
+			rd += pct(st.IntPRFReads, base.IntPRFReads) / float64(len(names))
 		}
 		speedup[variant] = stats.GeomeanSpeedup(pcts)
 		prfReads[variant] = rd
@@ -916,27 +812,20 @@ type PrefetchRow struct {
 // AblationPrefetch runs the §6.2 stride-prefetcher interaction study.
 func AblationPrefetch(c Config) ([]PrefetchRow, error) {
 	names := c.names()
-	noStride := c.base()
+	noStride := c.base().Clone()
 	noStride.StridePrefetch = false
-	specs := make([]runSpec, 0, len(names)*4)
-	for _, n := range names {
-		specs = append(specs,
-			runSpec{workload: n, cfg: c.base()},
-			runSpec{workload: n, cfg: c.base().WithVP(config.TVP).WithSpSR(true)},
-			runSpec{workload: n, cfg: noStride},
-			runSpec{workload: n, cfg: noStride.WithVP(config.TVP).WithSpSR(true)},
-		)
-	}
-	sts, err := c.runAll(specs)
+	rs, err := c.sweep(names, c.base(), c.base().WithVP(config.TVP).WithSpSR(true),
+		noStride, noStride.WithVP(config.TVP).WithSpSR(true))
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]PrefetchRow, len(names))
 	for i, n := range names {
+		ipc := func(k int) float64 { return rs[i*4+k].Stats.IPC() }
 		rows[i] = PrefetchRow{
 			Workload:      n,
-			WithStride:    (sts[i*4+1].IPC()/sts[i*4].IPC() - 1) * 100,
-			WithoutStride: (sts[i*4+3].IPC()/sts[i*4+2].IPC() - 1) * 100,
+			WithStride:    (ipc(1)/ipc(0) - 1) * 100,
+			WithoutStride: (ipc(3)/ipc(2) - 1) * 100,
 		}
 	}
 	return rows, nil

@@ -5,18 +5,24 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/emu"
 	"repro/internal/pipeline"
+	"repro/internal/prog"
 	"repro/internal/simcache"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// Point names one timing-simulation point for callers outside the figure
-// harness — most importantly the tvpd daemon (internal/serve), whose
-// two-tier result store is keyed by Point.Key. It is the exported twin
-// of the private runSpec + Config run-length pair.
+// Point names one timing-simulation point. It is the only run
+// description: the figures, tvp.Run, tvpsim and the tvpd daemon
+// (internal/serve, whose two-tier result store is keyed by Point.Key)
+// all build Points and hand them to Execute.
 type Point struct {
 	Workload string
+	// Program, when non-nil, is simulated instead of the suite member
+	// (tvp.Options.Program, tvpsim -load); Workload then only names it.
+	// Key does not cover it, so such points are never cached.
+	Program *prog.Program
 	// Cfg is the machine configuration; it must be validated by the
 	// caller (config.Machine.Validate).
 	Cfg    *config.Machine
@@ -28,7 +34,7 @@ type Point struct {
 }
 
 // Key returns the canonical content-addressed cache/store key of the
-// point. Two points with equal keys produce bit-identical stats.
+// point. Two points with equal keys produce bit-identical results.
 func (p Point) Key() simcache.RunKey {
 	return simcache.RunKey{
 		Workload:   p.Workload,
@@ -39,31 +45,88 @@ func (p Point) Key() simcache.RunKey {
 	}
 }
 
-// Simulate executes one timing run, uncached and unpooled, honoring ctx:
-// cancellation and deadlines are polled from inside the cycle loop
+// Attach carries a run's optional inputs beyond the Point. None of them
+// changes the simulated results.
+type Attach struct {
+	// Trace, when non-nil, is a functional recording of the point's
+	// instruction stream (emu.RecordTrace, from the warmup checkpoint
+	// under FastWarmup) replayed instead of running the emulator. Ignored
+	// under CrossCheck: the shadow oracle needs the live emulator.
+	Trace *emu.Trace
+	// Probe receives telemetry samples and attribution events (obs).
+	Probe pipeline.Probe
+	// Tracer receives every per-µop pipeline event (Konata, pipeview).
+	Tracer pipeline.Tracer
+}
+
+// Result is the outcome of one run. Every run carries its CPI stack:
+// commit-slot accounting is always armed.
+type Result struct {
+	// Stats holds the post-warmup counters.
+	Stats stats.Sim
+	// CPI is the post-warmup commit-slot attribution; CPI.Total() ==
+	// Stats.Cycles × CommitWidth exactly.
+	CPI stats.CPIStack
+	// Cycles and Committed include warmup.
+	Cycles, Committed uint64
+	// Skipped counts the cycles absorbed by event-driven skipping.
+	Skipped uint64
+}
+
+// Execute runs one point, uncached and unpooled: it is the one place
+// that builds and drives a pipeline.Core. It honors ctx: cancellation
+// and deadlines are polled from inside the cycle loop
 // (pipeline.Core.SetStopCheck), so an abandoned request stops burning
-// CPU within microseconds instead of completing a multi-second run. The
-// returned error wraps ctx.Err() on early stop — which the simcache
-// layer treats as transient and refuses to memoize.
-func Simulate(ctx context.Context, p Point) (stats.Sim, error) {
+// CPU within microseconds instead of completing a multi-second run; the
+// returned error then wraps ctx.Err(), which the simcache layer treats
+// as transient and refuses to memoize. A simulator panic (the deadlock
+// watchdog, a broken invariant, a CrossCheck *pipeline.Divergence) comes
+// back as an error wrapping the panic value, so one bad run cannot take
+// down a pool worker or the process that owns it.
+func Execute(ctx context.Context, p Point, a Attach) (res Result, err error) {
 	if err := ctx.Err(); err != nil {
-		return stats.Sim{}, fmt.Errorf("report: simulate %s: %w", p.Workload, err)
+		return Result{}, fmt.Errorf("report: simulate %s: %w", p.Workload, err)
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			res = Result{}
+			if e, ok := v.(error); ok {
+				err = fmt.Errorf("report: simulate %s: panic: %w", p.Workload, e)
+			} else {
+				err = fmt.Errorf("report: simulate %s: panic: %v", p.Workload, v)
+			}
+		}
+	}()
 	var core *pipeline.Core
 	warm := p.Warmup
-	if p.FastWarmup {
+	switch {
+	case a.Trace != nil && !p.Cfg.CrossCheck:
+		core = pipeline.NewFromTrace(p.Cfg, a.Trace)
+		if p.FastWarmup {
+			warm = 0
+		}
+	case p.Program != nil:
+		core = pipeline.New(p.Cfg, p.Program)
+	case p.FastWarmup:
 		snap, err := workload.Checkpoint(p.Workload, p.Warmup)
 		if err != nil {
-			return stats.Sim{}, err
+			return Result{}, err
 		}
 		core = pipeline.NewFromEmulator(p.Cfg, snap.Restore())
 		warm = 0
-	} else {
+	default:
 		prg, err := workload.Program(p.Workload)
 		if err != nil {
-			return stats.Sim{}, err
+			return Result{}, err
 		}
 		core = pipeline.New(p.Cfg, prg)
+	}
+	core.EnableCPIStack()
+	if a.Probe != nil {
+		core.SetProbe(a.Probe)
+	}
+	if a.Tracer != nil {
+		core.SetTracer(a.Tracer)
 	}
 	if ctx.Done() != nil {
 		core.SetStopCheck(func() bool {
@@ -75,9 +138,16 @@ func Simulate(ctx context.Context, p Point) (stats.Sim, error) {
 			}
 		})
 	}
-	res := core.Run(warm, p.Insts)
-	if res.Stopped {
-		return stats.Sim{}, fmt.Errorf("report: simulate %s: %w", p.Workload, ctx.Err())
+	r := core.Run(warm, p.Insts)
+	if r.Stopped {
+		return Result{}, fmt.Errorf("report: simulate %s: %w", p.Workload, ctx.Err())
 	}
-	return res.Stats, nil
+	return Result{Stats: r.Stats, CPI: r.CPI, Cycles: r.Cycles, Committed: r.Committed, Skipped: core.SkippedCycles()}, nil
+}
+
+// Simulate is Execute without attachments, returning only the counters
+// (the tvpd daemon's stats-only records).
+func Simulate(ctx context.Context, p Point) (stats.Sim, error) {
+	r, err := Execute(ctx, p, Attach{})
+	return r.Stats, err
 }

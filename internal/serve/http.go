@@ -21,6 +21,19 @@ const (
 	StatusSchema = "tvp.serve.status/v1"
 )
 
+// Request limits. Each sits well above anything the tools send (the
+// default sweep grid is 124 cells; tests and examples stay at or under
+// 1M instructions per point) and bounds how long one request can hold a
+// pool worker and how many goroutines one sweep can start.
+const (
+	// maxBodyBytes caps a request body; a larger one gets 413.
+	maxBodyBytes = 1 << 20
+	// maxPointInsts caps warmup + insts of one point; more gets 400.
+	maxPointInsts = 50_000_000
+	// maxSweepCells caps a sweep's workloads × vp_modes; more gets 400.
+	maxSweepCells = 1024
+)
+
 // errUnknownWorkload marks a well-formed request naming a workload the
 // suite does not define: 404, not 400.
 var errUnknownWorkload = errors.New("unknown workload")
@@ -129,6 +142,9 @@ func (r RunRequest) point() (report.Point, error) {
 	if r.Insts == 0 {
 		return report.Point{}, fmt.Errorf("insts must be positive")
 	}
+	if r.Warmup > maxPointInsts || r.Insts > maxPointInsts-r.Warmup {
+		return report.Point{}, fmt.Errorf("warmup + insts exceeds the %d-instruction limit", maxPointInsts)
+	}
 	mode, err := config.ParseVPMode(r.VP)
 	if err != nil {
 		return report.Point{}, err
@@ -158,6 +174,9 @@ func (r SweepRequest) points() ([]report.Point, error) {
 	modes := r.VPModes
 	if len(modes) == 0 {
 		modes = []string{"off", "mvp", "tvp", "gvp"}
+	}
+	if len(names)*len(modes) > maxSweepCells {
+		return nil, fmt.Errorf("sweep grid of %d×%d points exceeds the %d-point limit", len(names), len(modes), maxSweepCells)
 	}
 	pts := make([]report.Point, 0, len(names)*len(modes))
 	for _, w := range names {
@@ -222,12 +241,25 @@ func recordBytes(rec *obs.RunRecord) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// decodeRequest decodes a size-capped JSON request body into v, writing
+// the 400 (malformed) or 413 (too large) answer itself on failure.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "", "request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "", "malformed request: %v", err)
+	}
+	return err == nil
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "", "malformed request: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	p, err := req.point()
@@ -265,10 +297,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "", "malformed request: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Insts == 0 {

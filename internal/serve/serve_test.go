@@ -137,20 +137,25 @@ func TestRunMalformedRequests(t *testing.T) {
 	wl := testWorkload(t, 0)
 	cases := []struct {
 		name, body string
+		code       int
 	}{
-		{"bad json", `{"workload":`},
-		{"unknown field", `{"workload":"` + wl + `","insts":1000,"bogus":1}`},
-		{"bad vp mode", `{"workload":"` + wl + `","vp":"evp","insts":1000}`},
-		{"zero insts", `{"workload":"` + wl + `","vp":"tvp"}`},
+		{"bad json", `{"workload":`, http.StatusBadRequest},
+		{"unknown field", `{"workload":"` + wl + `","insts":1000,"bogus":1}`, http.StatusBadRequest},
+		{"bad vp mode", `{"workload":"` + wl + `","vp":"evp","insts":1000}`, http.StatusBadRequest},
+		{"zero insts", `{"workload":"` + wl + `","vp":"tvp"}`, http.StatusBadRequest},
 		// MVP + 9-bit idiom elimination is rejected by
 		// config.Machine.Validate: the idiom path needs TVP/GVP inlining.
-		{"invalid config", `{"workload":"` + wl + `","vp":"mvp","nine_bit_idiom":true,"insts":1000}`},
+		{"invalid config", `{"workload":"` + wl + `","vp":"mvp","nine_bit_idiom":true,"insts":1000}`, http.StatusBadRequest},
+		{"insts over cap", fmt.Sprintf(`{"workload":%q,"insts":%d}`, wl, maxPointInsts+1), http.StatusBadRequest},
+		{"warmup plus insts over cap", fmt.Sprintf(`{"workload":%q,"warmup":%d,"insts":%d}`, wl, maxPointInsts/2+1, maxPointInsts/2), http.StatusBadRequest},
+		{"warmup overflows", fmt.Sprintf(`{"workload":%q,"warmup":%d,"insts":1000}`, wl, uint64(1<<64-1)), http.StatusBadRequest},
+		{"oversized body", `{"workload":"` + wl + `","insts":1000,"vp":"` + strings.Repeat(" ", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			resp := postJSON(t, ts.URL+"/v1/run", c.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, readBody(t, resp))
+			if resp.StatusCode != c.code {
+				t.Fatalf("status = %d, want %d (body %.200s)", resp.StatusCode, c.code, readBody(t, resp))
 			}
 			decodeError(t, readBody(t, resp))
 		})
@@ -216,6 +221,21 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/v1/sweep", `{"vp_modes":["tvp"]}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("zero insts: status = %d, want 400", resp.StatusCode)
+	}
+	decodeError(t, readBody(t, resp))
+
+	// Repeated vp_modes entries multiply the grid: one past the cell cap
+	// is refused before any point resolves.
+	modes := `"off"` + strings.Repeat(`,"off"`, maxSweepCells)
+	resp = postJSON(t, ts.URL+"/v1/sweep", `{"workloads":["`+testWorkload(t, 0)+`"],"vp_modes":[`+modes+`],"insts":1000}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("grid over the cell cap: status = %d, want 400", resp.StatusCode)
+	}
+	decodeError(t, readBody(t, resp))
+
+	resp = postJSON(t, ts.URL+"/v1/sweep", `{"insts":1000,"vp_modes":["`+strings.Repeat("x", maxBodyBytes)+`"]}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status = %d, want 413", resp.StatusCode)
 	}
 	decodeError(t, readBody(t, resp))
 }

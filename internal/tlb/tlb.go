@@ -50,6 +50,7 @@ func New(cfg config.TLBConfig) *TLB {
 
 // Lookup probes the TLB for the page of addr, inserting on miss, and
 // reports whether it hit.
+//
 //tvp:hotpath
 func (t *TLB) Lookup(addr uint64) bool {
 	vpn := addr >> pageShift
@@ -100,6 +101,7 @@ func NewHierarchy(m *config.Machine) *Hierarchy {
 // (instr=true) access pays for translation: 0 on an L1 TLB hit (Table 2:
 // "L1 TLB latency is accounted for in the L1 caches load to use"), the L2
 // TLB latency on an L1 miss, plus the walk cost on an L2 miss.
+//
 //tvp:hotpath
 func (h *Hierarchy) Translate(addr uint64, instr bool) uint64 {
 	l1 := h.L1D

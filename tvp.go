@@ -18,13 +18,13 @@
 package tvp
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/config"
-	"repro/internal/pipeline"
 	"repro/internal/prog"
+	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -53,6 +53,9 @@ type Machine = config.Machine
 // Stats is the set of counters a run produces.
 type Stats = stats.Sim
 
+// CPIStack is a run's top-down commit-slot attribution.
+type CPIStack = stats.CPIStack
+
 // DefaultConfig returns the paper's Table 2 machine with value prediction
 // off and SpSR off (the evaluation baseline).
 func DefaultConfig() *Machine { return config.Default() }
@@ -78,9 +81,10 @@ type Options struct {
 	// and SpSR options are applied). Leave nil for Table 2.
 	Config *Machine
 	// CrossCheck arms the shadow-emulator retire checker
-	// (config.Machine.CrossCheck): the run panics with a
-	// *pipeline.Divergence if retired architectural state ever departs
-	// from the functional oracle. Timing and statistics are unaffected.
+	// (config.Machine.CrossCheck): if retired architectural state ever
+	// departs from the functional oracle, Run returns an error wrapping
+	// the *pipeline.Divergence (errors.As finds it). Timing and
+	// statistics are unaffected.
 	CrossCheck bool
 }
 
@@ -90,6 +94,9 @@ type Result struct {
 	Workload string
 	// Stats holds the post-warmup counters.
 	Stats Stats
+	// CPI is the post-warmup CPI stack: CPI.Total() == Stats.Cycles ×
+	// CommitWidth, exactly.
+	CPI CPIStack
 	// TotalCycles and TotalInsts include warmup.
 	TotalCycles, TotalInsts uint64
 }
@@ -106,19 +113,6 @@ func (o *Options) defaults() {
 // Run executes one simulation.
 func Run(o Options) (Result, error) {
 	o.defaults()
-	p := o.Program
-	name := o.Workload
-	if p == nil {
-		// Programs are immutable once built, so the memoized build is
-		// shared freely across concurrent runs (see internal/workload).
-		var err error
-		p, err = workload.Program(o.Workload)
-		if err != nil {
-			return Result{}, err
-		}
-	} else if name == "" {
-		name = p.Name
-	}
 	cfg := o.Config
 	if cfg == nil {
 		cfg = config.Default()
@@ -130,13 +124,20 @@ func Run(o Options) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, fmt.Errorf("tvp: %w", err)
 	}
-	core := pipeline.New(cfg, p)
-	res := core.Run(o.Warmup, o.MaxInsts)
+	p := report.Point{Workload: o.Workload, Program: o.Program, Cfg: cfg, Warmup: o.Warmup, Insts: o.MaxInsts}
+	if p.Program != nil && p.Workload == "" {
+		p.Workload = p.Program.Name
+	}
+	r, err := report.Execute(context.Background(), p, report.Attach{})
+	if err != nil {
+		return Result{}, err
+	}
 	return Result{
-		Workload:    name,
-		Stats:       res.Stats,
-		TotalCycles: res.Cycles,
-		TotalInsts:  res.Committed,
+		Workload:    p.Workload,
+		Stats:       r.Stats,
+		CPI:         r.CPI,
+		TotalCycles: r.Cycles,
+		TotalInsts:  r.Committed,
 	}, nil
 }
 
@@ -149,17 +150,8 @@ func Benchmarks() []string { return workload.Names() }
 func RunMany(opts []Options) ([]Result, []error) {
 	results := make([]Result, len(opts))
 	errs := make([]error, len(opts))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range opts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = Run(opts[i])
-		}(i)
-	}
-	wg.Wait()
+	report.Each(runtime.GOMAXPROCS(0), len(opts), func(i int) {
+		results[i], errs[i] = Run(opts[i])
+	})
 	return results, errs
 }

@@ -1,10 +1,17 @@
 package tvp
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/report"
+	"repro/internal/serve"
+	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func TestRunDefaults(t *testing.T) {
@@ -92,5 +99,67 @@ func TestRunMany(t *testing.T) {
 func TestDefaultConfigIsValid(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntryPointParity: one point gives the same answer through every
+// entry point — tvp.Run, report.Execute on the live emulator and over a
+// recorded trace, report.Simulate, and a memory-only tvpd server — on a
+// high-IPC and a low-IPC workload. The Execute-based paths also agree on
+// the CPI stack, cycles and skipped cycles.
+func TestEntryPointParity(t *testing.T) {
+	const warm, insts = 5000, 30000
+	ctx := context.Background()
+	for _, w := range []string{"648_exchange2_s", "605_mcf_s"} {
+		t.Run(w, func(t *testing.T) {
+			p := report.Point{Workload: w, Cfg: config.Default().WithVP(TVP).WithSpSR(true), Warmup: warm, Insts: insts}
+			run, err := Run(Options{Workload: w, VP: TVP, SpSR: true, Warmup: warm, MaxInsts: insts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := report.Execute(ctx, p, report.Attach{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prg, err := workload.Program(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := emu.RecordTrace(emu.New(prg), warm+insts+emu.DefaultStreamCapacity+64)
+			replay, err := report.Execute(ctx, p, report.Attach{Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := report.Simulate(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := serve.New(serve.Config{Workers: 1})
+			defer srv.Close()
+			served, source, err := srv.Resolve(ctx, p)
+			if err != nil || source != serve.SourceComputed {
+				t.Fatalf("serve: source %q, err %v", source, err)
+			}
+
+			for _, got := range []struct {
+				path string
+				st   stats.Sim
+			}{{"tvp.Run", run.Stats}, {"Execute over a trace", replay.Stats}, {"Simulate", sim}, {"serve.Resolve", served}} {
+				if got.st != live.Stats {
+					t.Errorf("%s stats differ from Execute's:\n got %+v\nwant %+v", got.path, got.st, live.Stats)
+				}
+			}
+			if replay != live {
+				t.Errorf("trace replay: CPI %+v cycles %d skipped %d; live: CPI %+v cycles %d skipped %d",
+					replay.CPI, replay.Cycles, replay.Skipped, live.CPI, live.Cycles, live.Skipped)
+			}
+			if run.CPI != live.CPI || run.TotalCycles != live.Cycles || run.TotalInsts != live.Committed {
+				t.Errorf("tvp.Run: CPI %+v cycles %d committed %d; Execute: CPI %+v cycles %d committed %d",
+					run.CPI, run.TotalCycles, run.TotalInsts, live.CPI, live.Cycles, live.Committed)
+			}
+			if live.CPI.Total() == 0 {
+				t.Error("Execute returned an empty CPI stack")
+			}
+		})
 	}
 }
