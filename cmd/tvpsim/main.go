@@ -151,7 +151,9 @@ func runInstrumented(names []string, mode tvp.VPMode, spsr bool, warm, insts uin
 func runPipetrace(name string, mode tvp.VPMode, spsr bool, n int) error {
 	cfg := config.Default().WithVP(mode).WithSpSR(spsr)
 	p := report.Point{Workload: name, Cfg: cfg, Insts: uint64(n) + 64}
-	_, err := report.Execute(context.Background(), p, report.Attach{Tracer: pipeline.NewPipeview(os.Stdout, n)})
+	_, err := report.Execute(context.Background(), p, report.Attach{
+		Tracer: pipeline.NewPipeview(os.Stdout, n),
+	})
 	return err
 }
 

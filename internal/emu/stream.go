@@ -2,7 +2,7 @@ package emu
 
 import "fmt"
 
-// Stream adapts a dynamic instruction source into a rewindable stream
+// Stream adapts an Emulator into a rewindable dynamic instruction stream
 // for the timing model. The timing model's fetch stage pulls records with
 // Next; a pipeline flush rewinds the cursor to the squashed instruction's
 // sequence number so it is delivered again (re-fetched), which is exactly
@@ -10,24 +10,16 @@ import "fmt"
 // mispredictions (the mispredicted instruction itself must be refetched
 // and renamed again).
 //
-// A stream runs in one of two modes behind the same branchless indexing
-// (recs/base/mask):
-//
-//   - Ring mode (NewStream): records are generated on demand by an
-//     attached emulator and retained in a power-of-two ring (base 0,
-//     mask len-1). A rewind must not go further back than the ring
-//     capacity, which the pipeline guarantees because it never rewinds
-//     past the oldest non-committed instruction and the ring is sized
-//     well above the instruction window.
-//   - Trace mode (NewTraceStream): records were pre-recorded by
-//     RecordTrace and the stream replays them (base Start, mask ^0 so
-//     the same masked index is a plain offset). No emulator runs; N
-//     machine configurations can replay one shared trace concurrently.
+// It is the timing core's only instruction source: records are generated
+// on demand by the attached emulator and retained in a power-of-two ring.
+// A rewind must not go further back than the ring capacity, which the
+// pipeline guarantees because it never rewinds past the oldest
+// non-committed instruction and the ring is sized well above the
+// instruction window.
 type Stream struct {
-	emu    *Emulator // nil in trace mode
+	emu    *Emulator
 	recs   []DynInst
-	mask   uint64 // ring: len(recs)-1 (power of two); trace: ^uint64(0)
-	base   uint64 // ring: 0; trace: sequence number of recs[0]
+	mask   uint64 // len(recs)-1; capacity is forced to a power of two
 	head   uint64 // sequence number of the next record to generate
 	cursor uint64 // sequence number of the next record to deliver
 	done   bool   // emulator has halted; head is the final count
@@ -37,8 +29,8 @@ type Stream struct {
 // instructions that can be in flight (ROB + fetch/decode buffers).
 const DefaultStreamCapacity = 4096
 
-// NewStream returns a ring-mode stream over the emulator with the given
-// ring capacity (DefaultStreamCapacity if cap <= 0). The stream numbering
+// NewStream returns a stream over the emulator with the given ring
+// capacity (DefaultStreamCapacity if cap <= 0). The stream numbering
 // starts at the emulator's current position, so a stream over an emulator
 // restored from a warmup checkpoint delivers records whose sequence
 // numbers continue the pre-checkpoint count — Cursor, Rewind and the
@@ -56,39 +48,23 @@ func NewStream(e *Emulator, capacity int) *Stream {
 	return &Stream{emu: e, recs: make([]DynInst, capacity), mask: uint64(capacity - 1), head: start, cursor: start}
 }
 
-// NewTraceStream returns a trace-mode stream replaying a recorded trace
-// from its start. Each call returns an independent cursor over the shared
-// (read-only) records, so several timing configurations can consume one
-// trace — concurrently or in sequence — without re-running the emulator.
-func NewTraceStream(t *Trace) *Stream {
-	return &Stream{
-		recs:   t.recs,
-		mask:   ^uint64(0),
-		base:   t.start,
-		head:   t.start + uint64(len(t.recs)),
-		cursor: t.start,
-		done:   t.halted,
-	}
-}
-
 // Cursor returns the sequence number of the next record Next will deliver.
 func (s *Stream) Cursor() uint64 { return s.cursor }
 
 // At returns the retained record with the given sequence number. The seq
-// must be within the retained window: in ring mode at most ring-capacity
-// behind the generation head (the pipeline's in-flight window is far
-// smaller), in trace mode within the recording. No bounds are re-checked
-// beyond the slice access itself — At sits on the per-µop hot path.
+// must be within the retained window: at most ring-capacity behind the
+// generation head (the pipeline's in-flight window is far smaller). No
+// bounds are re-checked beyond the slice access itself — At sits on the
+// per-µop hot path.
 //
 //tvp:hotpath
 func (s *Stream) At(seq uint64) *DynInst {
-	return &s.recs[(seq-s.base)&s.mask]
+	return &s.recs[seq&s.mask]
 }
 
 // Next returns the record at the cursor and advances it, or nil when the
 // program has ended. The returned pointer is valid until the record falls
-// out of the ring (i.e. at least ring-capacity deliveries); trace-mode
-// records never expire.
+// out of the ring (i.e. at least ring-capacity deliveries).
 func (s *Stream) Next() *DynInst {
 	d := s.Peek()
 	if d != nil {
@@ -106,16 +82,11 @@ func (s *Stream) Next() *DynInst {
 func (s *Stream) Advance() { s.cursor++ }
 
 // Peek returns the record at the cursor without advancing, or nil at end
-// of program. In trace mode, running off the end of a recording that did
-// not reach HALT is a programming error (the recording was too short for
-// the run length) and panics rather than silently mis-simulating.
+// of program.
 func (s *Stream) Peek() *DynInst {
 	for s.cursor >= s.head {
 		if s.done {
 			return nil
-		}
-		if s.emu == nil {
-			panic(fmt.Sprintf("emu: trace exhausted at seq %d before HALT (recording too short)", s.cursor))
 		}
 		slot := &s.recs[s.head&s.mask]
 		if !s.emu.Step(slot) {
@@ -124,7 +95,7 @@ func (s *Stream) Peek() *DynInst {
 		}
 		s.head++
 	}
-	return &s.recs[(s.cursor-s.base)&s.mask]
+	return &s.recs[s.cursor&s.mask]
 }
 
 // Rewind moves the cursor back to seq, so the instruction with that
@@ -134,10 +105,7 @@ func (s *Stream) Rewind(seq uint64) {
 	if seq > s.cursor {
 		panic(fmt.Sprintf("emu: rewind forward (seq %d > cursor %d)", seq, s.cursor))
 	}
-	if seq < s.base {
-		panic(fmt.Sprintf("emu: rewind before trace start (seq %d, start %d)", seq, s.base))
-	}
-	if s.emu != nil && s.head > uint64(len(s.recs)) && seq < s.head-uint64(len(s.recs)) {
+	if s.head > uint64(len(s.recs)) && seq < s.head-uint64(len(s.recs)) {
 		panic(fmt.Sprintf("emu: rewind past ring capacity (seq %d, oldest %d)", seq, s.head-uint64(len(s.recs))))
 	}
 	s.cursor = seq

@@ -55,7 +55,7 @@ func (c *Core) dispatch() {
 			c.iqCnt++
 			c.schedEnqueue(u.robIdx)
 		} else {
-			//tvplint:ignore hotpathalloc IQ capacity is preallocated at IQSize in newCore and dispatch stalls on IQFull, so this append never grows
+			//tvplint:ignore hotpathalloc IQ capacity is preallocated at IQSize in NewFromEmulator and dispatch stalls on IQFull, so this append never grows
 			c.iq = append(c.iq, u.robIdx)
 			//tvplint:ignore hotpathalloc iqWake mirrors iq (same capacity, same length), so this append never grows either
 			c.iqWake = append(c.iqWake, 0)
@@ -146,7 +146,7 @@ type fuState struct {
 	busyUntil []uint64
 }
 
-// fuSetup precomputes the static masks (newCore).
+// fuSetup precomputes the static masks (NewFromEmulator).
 func (c *Core) fuSetup() {
 	c.fus.busyUntil = make([]uint64, len(c.cfg.FUs))
 	for i := range c.cfg.FUs {
@@ -279,7 +279,7 @@ func (c *Core) doIssue(u *uop, fu int) {
 			c.intReadyAt[u.dst] = c.robReady[u.robIdx]
 		}
 	}
-	//tvplint:ignore hotpathalloc execL capacity is preallocated at ROBSize in newCore and in-flight µops cannot exceed the ROB, so this append never grows
+	//tvplint:ignore hotpathalloc execL capacity is preallocated at ROBSize in NewFromEmulator and in-flight µops cannot exceed the ROB, so this append never grows
 	c.execL = append(c.execL, u.robIdx)
 
 	// Scoreboard broadcast: readiness just became concrete, so wake the

@@ -189,41 +189,18 @@ func New(cfg *config.Machine, p *prog.Program) *Core {
 // NewFromEmulator builds a core over an existing emulator, which may be
 // mid-program — typically one restored from a warmup checkpoint
 // (emu.Snapshot.Restore), so several timing configurations can share a
-// single functional warmup. Sequence numbering continues from the
+// single functional warmup. The emulator, read through an emu.Stream
+// ring, is the core's only instruction source, and the cross-check
+// shadow is snapshotted from it. Sequence numbering continues from the
 // emulator's position.
 func NewFromEmulator(cfg *config.Machine, e *emu.Emulator) *Core {
-	return newCore(cfg, emu.NewStream(e, 0), e.Prog, e)
-}
-
-// NewFromTrace builds a core that replays a pre-recorded functional trace
-// (emu.RecordTrace) instead of driving a live emulator. The functional
-// stream is configuration-invariant, so any number of machine
-// configurations can be built over one shared trace — the recording is
-// read-only and each core gets its own replay cursor. Timing results are
-// bit-identical to a live-emulator run from the same position
-// (TestBatchedSweepMatchesSerial).
-//
-// CrossCheck is not supported in trace mode: the differential validator
-// replays retirement against a shadow emulator snapshotted at core build,
-// which requires the live emulator.
-func NewFromTrace(cfg *config.Machine, t *emu.Trace) *Core {
-	if cfg.CrossCheck {
-		panic("pipeline: CrossCheck requires a live emulator (NewFromEmulator), not a recorded trace")
-	}
-	return newCore(cfg, emu.NewTraceStream(t), t.Prog, nil)
-}
-
-// newCore is the shared construction path: a validated config, a dynamic
-// instruction stream (live ring or recorded trace), the program for the
-// static tables, and the live emulator (nil in trace mode) for the
-// cross-check shadow snapshot.
-func newCore(cfg *config.Machine, stream *emu.Stream, p *prog.Program, e *emu.Emulator) *Core {
+	p := e.Prog
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Core{
 		cfg:    cfg,
-		stream: stream,
+		stream: emu.NewStream(e, 0),
 		code:   p.Code,
 	}
 	c.tage = bp.NewTAGE(bp.TAGEConfig{

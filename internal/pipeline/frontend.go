@@ -152,11 +152,12 @@ func (c *Core) firstFetch(d *emu.DynInst, p *predInfo) {
 // PC (prog.PC is a pure function of the index), its Main-µop class,
 // whether a BaseUpdate µop follows (pre/post-index memory ops), whether
 // it is a fused multiply-add (the one latency special case), its source
-// plan, and its predicate flags. Built once per program text in newCore,
-// it replaces the per-dynamic-instruction isa.Crack/CrackCount switches
-// in decode, the collectSrcs opcode switch, the rename-stage isa
-// predicate calls, and the dynamic-record PC reads on the backend's hot
-// paths — identical output, no per-µop dispatch on the opcode.
+// plan, and its predicate flags. Built once per program text in
+// NewFromEmulator, it replaces the per-dynamic-instruction
+// isa.Crack/CrackCount switches in decode, the collectSrcs opcode
+// switch, the rename-stage isa predicate calls, and the dynamic-record
+// PC reads on the backend's hot paths — identical output, no per-µop
+// dispatch on the opcode.
 //
 //tvp:hotstruct
 type crackStatic struct {

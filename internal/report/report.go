@@ -174,64 +174,10 @@ func ResetRunCache() { runCache.Reset() }
 // Deprecated: CPI stacks share the run cache; use ResetRunCache.
 func ResetCPICache() { ResetRunCache() }
 
-// traceShare carries one workload group's lazily recorded functional
-// instruction trace across the group's sequential runs: the functional
-// stream depends only on the program and starting state — never on the
-// machine configuration — so the N configurations a sweep schedules over
-// one workload replay a single recording instead of re-running the
-// emulator N times (the config-batched sweep seam). Access is sequential
-// within a group goroutine, so no locking is needed; the recording
-// happens lazily, on the first cache miss that actually simulates.
-type traceShare struct {
-	tr   *emu.Trace
-	err  error
-	done bool
-}
-
-// traceSlack is the extra record headroom beyond the committed
-// instruction budget: fetch runs ahead of commit by at most the in-flight
-// window (fetch/decode queues + ROB), far below the stream ring capacity,
-// so recording one ring's worth past the budget guarantees the replay
-// never runs off the end of a non-halted trace.
-const traceSlack = emu.DefaultStreamCapacity + 64
-
-// get returns the group's recording for p, making it on first use.
-// CrossCheck points get none: the shadow oracle needs the live emulator.
-func (sh *traceShare) get(p Point) (*emu.Trace, error) {
-	if p.Cfg.CrossCheck || sh.done {
-		return sh.tr, sh.err
-	}
-	sh.done = true
-	if p.FastWarmup {
-		snap, err := workload.Checkpoint(p.Workload, p.Warmup)
-		if err != nil {
-			sh.err = err
-			return nil, err
-		}
-		sh.tr = emu.RecordTrace(snap.Restore(), p.Insts+traceSlack)
-		return sh.tr, nil
-	}
-	prg, err := workload.Program(p.Workload)
-	if err != nil {
-		sh.err = err
-		return nil, err
-	}
-	sh.tr = emu.RecordTrace(emu.New(prg), p.Warmup+p.Insts+traceSlack)
-	return sh.tr, nil
-}
-
 // runOne executes (or recalls) one run through the memoization layer,
-// replaying the group's shared trace on a miss — bit-identical to a
-// live-emulator run (TestBatchedSweepMatchesSerial) — and reporting to
-// the optional telemetry sinks.
-func (c Config) runOne(p Point, share *traceShare) (Result, error) {
-	simulate := func() (Result, error) {
-		tr, err := share.get(p)
-		if err != nil {
-			return Result{}, err
-		}
-		return Execute(context.Background(), p, Attach{Trace: tr})
-	}
+// reporting to the optional telemetry sinks.
+func (c Config) runOne(p Point) (Result, error) {
+	simulate := func() (Result, error) { return Execute(context.Background(), p, Attach{}) }
 	observed := c.Heartbeat != nil || c.Obs != nil
 	var r Result
 	var err error
@@ -276,14 +222,9 @@ func (c Config) runOne(p Point, share *traceShare) (Result, error) {
 }
 
 // runAll executes the points on a sweep worker Pool (Config.Workers
-// wide) and returns results in point order — slot-indexed writes keep
-// the output independent of completion order and byte-identical to the
-// serial path. Points are grouped by workload (order-preserving): each
-// group runs sequentially on one worker slot over a shared functional
-// trace recorded at most once (lazily, on the first cache miss), so a
-// sweep of N configurations over one workload pays for one emulator run
-// instead of N. Holding the slot for the whole group bounds live trace
-// memory to one recording per worker. Failures are collected (not
+// wide), one point per slot, and returns results in point order —
+// slot-indexed writes keep the output independent of completion order
+// and byte-identical to the serial path. Failures are collected (not
 // panicked) and reported together, each wrapped with its workload name.
 func (c Config) runAll(pts []Point) ([]Result, error) {
 	if c.Heartbeat != nil {
@@ -291,24 +232,13 @@ func (c Config) runAll(pts []Point) ([]Result, error) {
 	}
 	out := make([]Result, len(pts))
 	errs := make([]error, len(pts))
-	var order []string
-	groups := make(map[string][]int)
-	for i, p := range pts {
-		if _, ok := groups[p.Workload]; !ok {
-			order = append(order, p.Workload)
+	Each(c.workers(), len(pts), func(i int) {
+		r, err := c.runOne(pts[i])
+		if err != nil {
+			errs[i] = fmt.Errorf("workload %s: %w", pts[i].Workload, err)
+			return
 		}
-		groups[p.Workload] = append(groups[p.Workload], i)
-	}
-	Each(c.workers(), len(order), func(g int) {
-		var share traceShare
-		for _, i := range groups[order[g]] {
-			r, err := c.runOne(pts[i], &share)
-			if err != nil {
-				errs[i] = fmt.Errorf("workload %s: %w", pts[i].Workload, err)
-				continue
-			}
-			out[i] = r
-		}
+		out[i] = r
 	})
 	return out, errors.Join(errs...)
 }

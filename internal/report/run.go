@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/emu"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/simcache"
@@ -48,11 +47,6 @@ func (p Point) Key() simcache.RunKey {
 // Attach carries a run's optional inputs beyond the Point. None of them
 // changes the simulated results.
 type Attach struct {
-	// Trace, when non-nil, is a functional recording of the point's
-	// instruction stream (emu.RecordTrace, from the warmup checkpoint
-	// under FastWarmup) replayed instead of running the emulator. Ignored
-	// under CrossCheck: the shadow oracle needs the live emulator.
-	Trace *emu.Trace
 	// Probe receives telemetry samples and attribution events (obs).
 	Probe pipeline.Probe
 	// Tracer receives every per-µop pipeline event (Konata, pipeview).
@@ -100,11 +94,6 @@ func Execute(ctx context.Context, p Point, a Attach) (res Result, err error) {
 	var core *pipeline.Core
 	warm := p.Warmup
 	switch {
-	case a.Trace != nil && !p.Cfg.CrossCheck:
-		core = pipeline.NewFromTrace(p.Cfg, a.Trace)
-		if p.FastWarmup {
-			warm = 0
-		}
 	case p.Program != nil:
 		core = pipeline.New(p.Cfg, p.Program)
 	case p.FastWarmup:

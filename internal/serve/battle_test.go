@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/config"
+	"repro/internal/report"
 	"repro/internal/simcache"
 	"repro/internal/store"
 )
@@ -105,5 +108,72 @@ func TestDistinctPointsSaturatePool(t *testing.T) {
 	}
 	if s.Inflight() != 0 {
 		t.Fatalf("inflight = %d after drain", s.Inflight())
+	}
+}
+
+// TestResolveCountsEachAnswerOnce: many goroutines resolve a few small
+// points, one of which fails, concurrently. Every call must move exactly
+// one counter, the one its returned source names (failed on error), so
+// the tallies of the returned sources equal Counters() and sum to the
+// number of calls — including calls that join a leader which finishes
+// between their memory peek and their singleflight join, and calls that
+// join a failed leader.
+func TestResolveCountsEachAnswerOnce(t *testing.T) {
+	const goroutines, rounds = 16, 6
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	w := testWorkload(t, 0)
+	pts := []report.Point{
+		{Workload: w, Cfg: config.Default(), Warmup: 500, Insts: 2000},
+		{Workload: w, Cfg: config.Default(), Warmup: 500, Insts: 3000},
+		{Workload: w, Cfg: config.Default().WithVP(config.TVP), Warmup: 500, Insts: 2000},
+		{Workload: "no_such_workload", Cfg: config.Default(), Insts: 2000},
+	}
+
+	const failed = "failed"
+	var mu sync.Mutex
+	tally := map[string]uint64{}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				p := pts[(g+r)%len(pts)]
+				_, src, err := s.Resolve(context.Background(), p)
+				if err != nil {
+					if p.Workload == w {
+						t.Errorf("%+v: %v", p, err)
+					}
+					src = failed
+				}
+				mu.Lock()
+				tally[src]++
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	c := s.Counters()
+	counted := map[string]uint64{
+		SourceMemory:    c.MemHits,
+		SourceDisk:      c.DiskHits,
+		SourceComputed:  c.Simulated,
+		SourceCoalesced: c.Coalesced,
+		failed:          c.Failed,
+	}
+	var sum uint64
+	for src, n := range counted {
+		if tally[src] != n {
+			t.Errorf("%s: %d calls returned it, counter says %d", src, tally[src], n)
+		}
+		sum += n
+	}
+	if sum != goroutines*rounds {
+		t.Errorf("counters %+v sum to %d, want one per call (%d)", c, sum, goroutines*rounds)
+	}
+	if c.Simulated != uint64(len(pts)-1) {
+		t.Errorf("simulated = %d, want one per good point (%d)", c.Simulated, len(pts)-1)
 	}
 }

@@ -25,7 +25,6 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,9 +70,7 @@ type Server struct {
 	cache *simcache.Cache[simcache.RunKey, stats.Sim]
 	start time.Time
 
-	mu       sync.Mutex
-	inflight map[simcache.RunKey]int
-
+	inflight  atomic.Int64
 	memHits   atomic.Uint64
 	diskHits  atomic.Uint64
 	simulated atomic.Uint64
@@ -90,11 +87,10 @@ type Server struct {
 // New builds a Server over a fresh in-memory cache and pool.
 func New(cfg Config) *Server {
 	return &Server{
-		pool:     report.NewPool(cfg.Workers, cfg.Queue),
-		store:    cfg.Store,
-		cache:    simcache.New[simcache.RunKey, stats.Sim](),
-		start:    now(),
-		inflight: make(map[simcache.RunKey]int),
+		pool:  report.NewPool(cfg.Workers, cfg.Queue),
+		store: cfg.Store,
+		cache: simcache.New[simcache.RunKey, stats.Sim](),
+		start: now(),
 	}
 }
 
@@ -115,22 +111,15 @@ func (s *Server) Counters() Counters {
 
 // Inflight returns the number of requests currently resolving (all
 // sources, including joiners waiting on a leader).
-func (s *Server) Inflight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, c := range s.inflight {
-		n += c
-	}
-	return n
-}
+func (s *Server) Inflight() int { return int(s.inflight.Load()) }
 
 // Resolve answers one simulation point through the tiers, returning the
-// counters and the source tier that produced them. The context bounds
-// the whole resolution: a deadline or cancellation aborts pool admission
-// and stops an in-progress run from inside the cycle loop, and the
-// resulting error is never memoized (simcache treats context errors as
-// transient), so a retry recomputes.
+// counters and the source tier that produced them. Each call moves
+// exactly one counter: the one named by its source, or failed on error.
+// The context bounds the whole resolution: a deadline or cancellation
+// aborts pool admission and stops an in-progress run from inside the
+// cycle loop, and the resulting error is never memoized (simcache treats
+// context errors as transient), so a retry recomputes.
 func (s *Server) Resolve(ctx context.Context, p report.Point) (stats.Sim, string, error) {
 	k := p.Key()
 	if st, ok := s.cache.Get(k); ok {
@@ -138,25 +127,13 @@ func (s *Server) Resolve(ctx context.Context, p report.Point) (stats.Sim, string
 		return st, SourceMemory, nil
 	}
 
-	s.mu.Lock()
-	joined := s.inflight[k] > 0
-	s.inflight[k]++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.inflight[k]--
-		if s.inflight[k] <= 0 {
-			delete(s.inflight, k)
-		}
-		s.mu.Unlock()
-	}()
-	if joined {
-		s.coalesced.Add(1)
-	}
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 
 	// source is written only by the singleflight leader (inside fn) and
-	// read after Do returns on the same goroutine; joiners keep the
-	// default.
+	// read after Do returns on the same goroutine. A call whose fn did not
+	// run keeps the default: it joined another call's computation, in
+	// flight or just finished.
 	source := SourceCoalesced
 	st, err := s.cache.Do(k, func() (stats.Sim, error) {
 		if s.store != nil {
@@ -196,6 +173,9 @@ func (s *Server) Resolve(ctx context.Context, p report.Point) (stats.Sim, string
 	if err != nil {
 		s.failed.Add(1)
 		return stats.Sim{}, "", err
+	}
+	if source == SourceCoalesced {
+		s.coalesced.Add(1)
 	}
 	return st, source, nil
 }

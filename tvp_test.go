@@ -5,13 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/prog"
 	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 func TestRunDefaults(t *testing.T) {
@@ -103,10 +101,10 @@ func TestDefaultConfigIsValid(t *testing.T) {
 }
 
 // TestEntryPointParity: one point gives the same answer through every
-// entry point — tvp.Run, report.Execute on the live emulator and over a
-// recorded trace, report.Simulate, and a memory-only tvpd server — on a
-// high-IPC and a low-IPC workload. The Execute-based paths also agree on
-// the CPI stack, cycles and skipped cycles.
+// entry point — tvp.Run, report.Execute, report.Simulate, and a
+// memory-only tvpd server — on a high-IPC and a low-IPC workload.
+// tvp.Run and Execute also agree on the CPI stack, cycles and committed
+// instructions.
 func TestEntryPointParity(t *testing.T) {
 	const warm, insts = 5000, 30000
 	ctx := context.Background()
@@ -118,15 +116,6 @@ func TestEntryPointParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			live, err := report.Execute(ctx, p, report.Attach{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prg, err := workload.Program(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := emu.RecordTrace(emu.New(prg), warm+insts+emu.DefaultStreamCapacity+64)
-			replay, err := report.Execute(ctx, p, report.Attach{Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,14 +133,10 @@ func TestEntryPointParity(t *testing.T) {
 			for _, got := range []struct {
 				path string
 				st   stats.Sim
-			}{{"tvp.Run", run.Stats}, {"Execute over a trace", replay.Stats}, {"Simulate", sim}, {"serve.Resolve", served}} {
+			}{{"tvp.Run", run.Stats}, {"Simulate", sim}, {"serve.Resolve", served}} {
 				if got.st != live.Stats {
 					t.Errorf("%s stats differ from Execute's:\n got %+v\nwant %+v", got.path, got.st, live.Stats)
 				}
-			}
-			if replay != live {
-				t.Errorf("trace replay: CPI %+v cycles %d skipped %d; live: CPI %+v cycles %d skipped %d",
-					replay.CPI, replay.Cycles, replay.Skipped, live.CPI, live.Cycles, live.Skipped)
 			}
 			if run.CPI != live.CPI || run.TotalCycles != live.Cycles || run.TotalInsts != live.Committed {
 				t.Errorf("tvp.Run: CPI %+v cycles %d committed %d; Execute: CPI %+v cycles %d committed %d",
