@@ -3,6 +3,8 @@ package bp
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/config"
 )
 
 func TestFoldedHistoryWindowed(t *testing.T) {
@@ -209,5 +211,45 @@ func TestHistorySetFoldBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHistorySetSharesFolds: views with the same (length, width) share
+// one fold, and every view still reads exactly what a set of its own
+// would after the same pushes.
+func TestHistorySetSharesFolds(t *testing.T) {
+	lens := []int{5, 9, 5, 17, 9, 5, 640}
+	widths := []int{10, 11, 10, 7, 11, 9, 10}
+	hs := NewHistorySet(lens, widths)
+	if got := hs.Folds(); got != 5 {
+		t.Fatalf("distinct folds = %d, want 5", got)
+	}
+	own := make([]*HistorySet, len(lens))
+	for i := range own {
+		own[i] = NewHistorySet(lens[i:i+1], widths[i:i+1])
+	}
+	for n := 0; n < 3000; n++ {
+		taken := (n*7+n/13)%5 < 2
+		hs.Push(taken)
+		for i, o := range own {
+			o.Push(taken)
+			if hs.Fold(i) != o.Fold(0) {
+				t.Fatalf("push %d: view %d = %#x, own set %#x", n, i, hs.Fold(i), o.Fold(0))
+			}
+		}
+	}
+}
+
+// TestTAGEFoldsDeduplicated: under Table 2 the index fold and the second
+// tag fold are both 10 bits wide over the same length in all 15 tables,
+// so a conditional branch updates 30 folds instead of 45.
+func TestTAGEFoldsDeduplicated(t *testing.T) {
+	m := config.Default()
+	tg := NewTAGE(TAGEConfig{
+		BaseLog2: m.BPBaseLog2, TaggedLog2: m.BPTaggedLog2, Tables: m.BPTables,
+		TagBits: m.BPTagBits, MinHist: m.BPMinHist, MaxHist: m.BPMaxHist,
+	})
+	if got := tg.hist.Folds(); got != 30 {
+		t.Fatalf("TAGE folds = %d, want 30", got)
 	}
 }

@@ -76,59 +76,81 @@ func (f *FoldedHistory) Update(newBit, oldBit uint64) {
 }
 
 // HistorySet bundles a global history with per-table folded views for
-// indices and tags; both TAGE and VTAGE own one. Each view carries its
-// own history length (FoldedHistory.histLen), so Push reads one dense
-// array.
+// indices and tags; both TAGE and VTAGE own one. Views with the same
+// (history length, width) pair always hold the same value — they start at
+// zero and fold the same bits — so the set keeps one fold per distinct
+// pair and maps each view onto it: under Table 2, TAGE's index fold and
+// its second tag fold are both 10 bits wide over the same length, so a
+// conditional branch updates 30 folds instead of 45.
 type HistorySet struct {
 	Global GlobalHistory
-	folds  []FoldedHistory
+	folds  []FoldedHistory // one per distinct (length, width), construction order
+	view   []uint8         // per view: index into folds
 
-	// Outgoing-bit sharing: TAGE-style fold sets carry several views per
-	// history length (index fold, tag folds), and the outgoing bit depends
-	// only on the length. Push reads each unique length once into scratch
-	// and fans it out through lenIdx.
+	// Outgoing-bit sharing: the outgoing bit depends only on the history
+	// length, and several folds share a length (index and tag widths).
+	// Push reads each unique length once into scratch and fans it out
+	// through lenIdx.
 	uniqLens []uint16 // deduplicated histLens, construction order
 	lenIdx   []uint8  // per fold: index into uniqLens/scratch
 	scratch  []uint64
 }
 
-// NewHistorySet creates folded views; folds[i] folds lens[i] bits into
+// NewHistorySet creates folded views; view i folds lens[i] bits into
 // widths[i] bits.
 func NewHistorySet(lens, widths []int) *HistorySet {
 	if len(lens) != len(widths) {
 		panic("bp: lens/widths mismatch")
 	}
+	n := len(lens)
 	hs := &HistorySet{
-		folds:  make([]FoldedHistory, len(lens)),
-		lenIdx: make([]uint8, len(lens)),
+		folds:    make([]FoldedHistory, 0, n),
+		view:     make([]uint8, n),
+		uniqLens: make([]uint16, 0, n),
+		lenIdx:   make([]uint8, 0, n),
 	}
 	for i := range lens {
-		hs.folds[i] = NewFolded(lens[i], widths[i])
+		f := NewFolded(lens[i], widths[i])
 		k := -1
-		for j, u := range hs.uniqLens {
-			if int(u) == lens[i] {
+		for j, g := range hs.folds {
+			if g.histLen == f.histLen && g.width == f.width {
 				k = j
 				break
 			}
 		}
 		if k < 0 {
-			k = len(hs.uniqLens)
-			hs.uniqLens = append(hs.uniqLens, uint16(lens[i]))
+			k = len(hs.folds)
+			hs.folds = append(hs.folds, f)
+			hs.lenIdx = append(hs.lenIdx, uint8(hs.lengthIndex(f.histLen)))
 		}
 		if k > 255 {
-			panic("bp: too many distinct history lengths")
+			panic("bp: too many distinct folds")
 		}
-		hs.lenIdx[i] = uint8(k)
+		hs.view[i] = uint8(k)
 	}
 	hs.scratch = make([]uint64, len(hs.uniqLens))
 	return hs
 }
 
-// Fold returns the current folded value of view i.
-func (hs *HistorySet) Fold(i int) uint64 { return hs.folds[i].Folded }
+// lengthIndex returns the index of l in uniqLens, appending it if new.
+func (hs *HistorySet) lengthIndex(l uint16) int {
+	for j, u := range hs.uniqLens {
+		if u == l {
+			return j
+		}
+	}
+	hs.uniqLens = append(hs.uniqLens, l)
+	return len(hs.uniqLens) - 1
+}
 
-// Push inserts a new direction bit, updating every folded view. The
-// outgoing bit is read once per unique history length, not once per view.
+// Fold returns the current folded value of view i.
+func (hs *HistorySet) Fold(i int) uint64 { return hs.folds[hs.view[i]].Folded }
+
+// Folds returns the number of distinct folds Push updates.
+func (hs *HistorySet) Folds() int { return len(hs.folds) }
+
+// Push inserts a new direction bit, updating every distinct fold. The
+// outgoing bit is read once per unique history length, not once per fold.
 func (hs *HistorySet) Push(taken bool) {
 	var nb uint64
 	if taken {

@@ -5,13 +5,14 @@ package bp
 // plus 15 tagged tables with history lengths geometric between 5 and 640.
 //
 // In keeping with the trace-driven discipline of this simulator, Predict
-// and Train are called back to back at fetch time with the actual outcome;
-// history is maintained on the correct path only.
+// and Train are called back to back, in program order, with the actual
+// outcome (by the pipeline's run-ahead producer, ahead of fetch); history
+// is maintained on the correct path only.
 type TAGE struct {
 	base      []int8 // 2-bit bimodal counters, centered at 0 (-2..1)
 	baseMask  uint64
 	tables    []tageTable
-	hist      *HistorySet // index folds [0..n), tag folds [n..2n), tag2 folds [2n..3n)
+	hist      *HistorySet // index views [0..n), tag views [n..2n), tag2 views [2n..3n)
 	nTables   int
 	useAlt    int8 // USE_ALT_ON_NA style counter
 	tick      int  // useful-bit graceful reset ticker
@@ -241,12 +242,6 @@ func (t *TAGE) Train(pc uint64, p Prediction, taken bool) {
 
 	t.hist.Push(taken)
 }
-
-// PushHistory records the direction of a conditional branch without
-// training (used when a branch is resolved by other means, e.g. SpSR'd at
-// rename, so the history stays consistent). Unused in the current pipeline
-// — SpSR'd branches still train — but exported for experimentation.
-func (t *TAGE) PushHistory(taken bool) { t.hist.Push(taken) }
 
 // StorageBits returns the predictor's storage budget in bits (counters,
 // tags and useful bits; history registers excluded, as is conventional).

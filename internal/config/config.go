@@ -8,6 +8,7 @@ package config
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -89,6 +90,25 @@ type CacheConfig struct {
 // MaxMSHRs bounds CacheConfig.MSHRs: the cache model keeps a level's
 // MSHR occupancy in one 64-bit mask.
 const MaxMSHRs = 64
+
+// The pipeline's run-ahead frontend hands dynamic instructions to the
+// timing core through a RunAheadSlots-slot ring, in RunAheadChunk-slot
+// chunks, and takes a chunk back only once every instruction in it has
+// committed. An instruction is in flight from fetch to commit: in the
+// fetch queue, in the DecodeQueue-µop decode queue, or in the ROB.
+const (
+	RunAheadSlots = 4096
+	RunAheadChunk = 256
+	DecodeQueue   = 32
+	// MaxWindow bounds ROBSize + FetchQueue + DecodeQueue: the window
+	// must fit the ring with one chunk to spare, or fetch would wait for
+	// a chunk the frontend has no free slots to fill.
+	MaxWindow = RunAheadSlots - RunAheadChunk
+)
+
+// ErrWindowTooLarge reports a machine whose in-flight window exceeds
+// MaxWindow.
+var ErrWindowTooLarge = errors.New("config: in-flight window exceeds the run-ahead ring")
 
 // Sets returns the number of sets.
 func (c CacheConfig) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
@@ -445,8 +465,11 @@ func (m *Machine) Validate() error {
 	case m.FetchWidth <= 0 || m.DecodeWidth <= 0 || m.RenameWidth <= 0 ||
 		m.DispatchWidth <= 0 || m.CommitWidth <= 0 || m.IssueWidth <= 0:
 		return fmt.Errorf("config: non-positive pipeline width")
-	case m.ROBSize <= 0 || m.IQSize <= 0 || m.LQSize <= 0 || m.SQSize <= 0:
+	case m.ROBSize <= 0 || m.IQSize <= 0 || m.LQSize <= 0 || m.SQSize <= 0 || m.FetchQueue <= 0:
 		return fmt.Errorf("config: non-positive window structure size")
+	case m.ROBSize+m.FetchQueue+DecodeQueue > MaxWindow:
+		return fmt.Errorf("%w: ROB %d + fetch queue %d + decode queue %d > %d",
+			ErrWindowTooLarge, m.ROBSize, m.FetchQueue, DecodeQueue, MaxWindow)
 	case m.IntPRF < 2*m.RenameWidth || m.FPPRF < 2*m.RenameWidth:
 		return fmt.Errorf("config: physical register file too small")
 	case len(m.FUs) == 0:

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -187,6 +188,37 @@ func TestValidateBoundsMSHRs(t *testing.T) {
 			if err != nil && !strings.Contains(err.Error(), l.name+" has") {
 				t.Errorf("%s MSHRs=%d: error %q does not name the level", l.name, c.mshrs, err)
 			}
+		}
+	}
+}
+
+// TestValidateBoundsWindow: ROBSize + FetchQueue + DecodeQueue must fit
+// the run-ahead ring with one chunk to spare; anything larger fails with
+// ErrWindowTooLarge. Table 2's window and fuzzgen's 64-entry ROB are far
+// inside the bound.
+func TestValidateBoundsWindow(t *testing.T) {
+	fq := Default().FetchQueue
+	edge := MaxWindow - fq - DecodeQueue
+	for _, c := range []struct {
+		rob, fq int
+		ok      bool
+	}{
+		{315, fq, true},
+		{64, fq, true},
+		{edge, fq, true},
+		{edge + 1, fq, false},
+		{315, MaxWindow, false},
+		{4000, fq, false},
+		{315, 0, false},
+	} {
+		m := Default()
+		m.ROBSize, m.FetchQueue = c.rob, c.fq
+		err := m.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("ROB %d, fetch queue %d: Validate() = %v, want ok=%v", c.rob, c.fq, err, c.ok)
+		}
+		if !c.ok && c.fq > 0 && !errors.Is(err, ErrWindowTooLarge) {
+			t.Errorf("ROB %d, fetch queue %d: error %v is not ErrWindowTooLarge", c.rob, c.fq, err)
 		}
 	}
 }

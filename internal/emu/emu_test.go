@@ -368,53 +368,3 @@ func TestMemoryStraddlesPages(t *testing.T) {
 		t.Errorf("straddling write mapped %d pages, want 2", m.PageCount())
 	}
 }
-
-func TestStreamRewind(t *testing.T) {
-	b := prog.NewBuilder("s")
-	for i := 0; i < 50; i++ {
-		b.AddI(isa.X1, isa.X1, 1)
-	}
-	b.Halt()
-	s := NewStream(New(b.Build()), 64)
-	var seqs []uint64
-	for i := 0; i < 20; i++ {
-		seqs = append(seqs, s.Next().Seq)
-	}
-	s.Rewind(5)
-	if got := s.Next().Seq; got != 5 {
-		t.Fatalf("after rewind got seq %d, want 5", got)
-	}
-	// Re-delivered records must be identical objects in content.
-	for i := 6; i < 20; i++ {
-		if got := s.Next().Seq; got != uint64(i) {
-			t.Fatalf("replay seq %d, want %d", got, i)
-		}
-	}
-	_ = seqs
-	// Drain to end.
-	n := 0
-	for s.Next() != nil {
-		n++
-	}
-	if !s.Done() {
-		t.Error("stream should be done")
-	}
-}
-
-func TestStreamRewindTooFarPanics(t *testing.T) {
-	b := prog.NewBuilder("s")
-	for i := 0; i < 300; i++ {
-		b.Nop()
-	}
-	b.Halt()
-	s := NewStream(New(b.Build()), 16)
-	for i := 0; i < 100; i++ {
-		s.Next()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rewind past ring capacity must panic")
-		}
-	}()
-	s.Rewind(2)
-}

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"math/bits"
 
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/rename"
 )
@@ -462,12 +461,11 @@ func (c *Core) complete() {
 //
 //tvp:hotpath
 func (c *Core) validateVP(u *uop) bool {
-	p, _ := c.pred(u.seq)
-	actual := c.stream.At(u.seq).Result
+	s := c.ra.at(u.seq)
 	// bugSeqPlus1 models a broken validation comparator for the injected
 	// instruction (injectVPBug): the corrupted prediction passes
 	// validation so only the retire checker can catch it.
-	if p.vpValue == actual || c.bugSeqPlus1 == u.seq+1 {
+	if s.vpValue == s.d.Result || c.bugSeqPlus1 == u.seq+1 {
 		if u.vpWide {
 			// The prediction was already written at rename; the
 			// architectural result is still written back (Fig. 6's extra
@@ -580,6 +578,7 @@ func (c *Core) commit() {
 		if u.last {
 			c.st.ArchInsts++
 			c.committed++
+			c.ra.retire(u.seq)
 		}
 		if u.vpWide {
 			c.predictedReg[u.dst] = noIdx
@@ -640,20 +639,16 @@ func (c *Core) commitMainStats(u *uop) {
 		c.st.VPEligible++
 	}
 	if c.vpred != nil && in.VPEligible() {
-		// The fetch-time lookup lives in the predRing, re-read here rather
-		// than carried in the ROB entry: the ring (stream capacity) far
-		// exceeds the instruction window, so a retiring instruction's
-		// record is always intact (the retire checker asserts exactly
-		// this invariant).
-		p := &c.predRing[u.seq&(emu.DefaultStreamCapacity-1)]
-		if p.seqPlus1 == u.seq+1 && p.vpValid {
-			if u.vpUsed {
-				c.st.VPCorrectUsed++ // a used wrong prediction never commits used
-			} else {
-				c.st.VPTrainOnly++
-			}
-			c.vpred.Train(&p.vpLookup, c.stream.At(u.seq).Result)
+		// The fetch-time lookup lives in the run-ahead ring, re-read here
+		// rather than carried in the ROB entry: the core holds a record's
+		// chunk until the instruction commits.
+		s := c.ra.at(u.seq)
+		if u.vpUsed {
+			c.st.VPCorrectUsed++ // a used wrong prediction never commits used
+		} else {
+			c.st.VPTrainOnly++
 		}
+		c.vpred.Train(&s.vp, s.d.Result)
 	}
 }
 

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/bp"
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/emu"
@@ -32,7 +31,8 @@ const (
 
 // fqEntry is a fetched architectural instruction waiting for decode.
 // Pointer-free (tvplint hotstruct): the dynamic record is re-reached
-// through the stream arena by seq; the static index feeds the crack table.
+// through the run-ahead ring by seq; the static index feeds the crack
+// table.
 //
 //tvp:hotstruct
 type fqEntry struct {
@@ -53,32 +53,16 @@ type dqEntry struct {
 	last        bool
 }
 
-// predInfo caches fetch-time predictor state per dynamic instruction, so
-// a refetch after a flush reuses the original structural predictions
-// while re-evaluating use-time policy (e.g. VP silencing).
-type predInfo struct {
-	seqPlus1  uint64 // seq+1; 0 = invalid
-	bpMispred bool
-	btbMiss   bool
-	vpValid   bool
-	vpConf    bool
-	vpValue   uint64
-	vpLookup  vp.Lookup
-}
-
 // Core is one simulated out-of-order core attached to a dynamic
 // instruction stream.
 type Core struct {
-	cfg    *config.Machine
-	stream *emu.Stream
-	code   []isa.Inst // program text (static instructions, indexed by uop.sIdx)
-	st     stats.Sim
+	cfg  *config.Machine
+	ra   runAhead   // the instruction source and its producer (runahead.go)
+	code []isa.Inst // program text (static instructions, indexed by uop.sIdx)
+	st   stats.Sim
 
-	// Predictors and memory system.
-	tage   *bp.TAGE
-	btb    *bp.BTB
-	ras    *bp.RAS
-	ind    *bp.Indirect
+	// Value predictor tables and memory system. The branch predictors
+	// and VTAGE's history belong to the run-ahead producer.
 	vpred  *vp.Predictor
 	ssets  *memdep.StoreSets
 	mem    *cache.Hierarchy
@@ -97,9 +81,8 @@ type Core struct {
 	fetchStallUntil uint64
 	waitBranchSeq   uint64 // fetch stalled until this branch resolves (+1); 0 = none
 	curFetchLine    uint64
-	lineReadyAt     uint64
+	fetchedTo       uint64 // one past the newest seq ever fetched: a fetch below it is a refetch
 	haltSeen        bool
-	predRing        []predInfo
 	crack           []crackStatic // per static instruction, precomputed at build
 
 	// Backend state. The scheduler-side structures hold ROB slot indices
@@ -189,31 +172,22 @@ func New(cfg *config.Machine, p *prog.Program) *Core {
 // NewFromEmulator builds a core over an existing emulator, which may be
 // mid-program — typically one restored from a warmup checkpoint
 // (emu.Snapshot.Restore), so several timing configurations can share a
-// single functional warmup. The emulator, read through an emu.Stream
-// ring, is the core's only instruction source, and the cross-check
-// shadow is snapshotted from it. Sequence numbering continues from the
-// emulator's position.
+// single functional warmup. The emulator is the core's only instruction
+// source. The cross-check shadow is snapshotted from it here; from then
+// on the emulator belongs to the core's run-ahead producer (runahead.go),
+// which each Run starts and joins, and which also runs the branch
+// predictors. Sequence numbering continues from the emulator's position.
 func NewFromEmulator(cfg *config.Machine, e *emu.Emulator) *Core {
 	p := e.Prog
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Core{
-		cfg:    cfg,
-		stream: emu.NewStream(e, 0),
-		code:   p.Code,
+		cfg:  cfg,
+		code: p.Code,
 	}
-	c.tage = bp.NewTAGE(bp.TAGEConfig{
-		BaseLog2:   cfg.BPBaseLog2,
-		TaggedLog2: cfg.BPTaggedLog2,
-		Tables:     cfg.BPTables,
-		TagBits:    cfg.BPTagBits,
-		MinHist:    cfg.BPMinHist,
-		MaxHist:    cfg.BPMaxHist,
-	})
-	c.btb = bp.NewBTB(cfg.BTBEntries, cfg.BTBAssoc)
-	c.ras = bp.NewRAS(cfg.RASEntries)
-	c.ind = bp.NewIndirect(cfg.IndirectEntries)
+	c.ra.init(cfg, e)
+	c.fetchedTo = c.ra.cursor
 	if cfg.VP.Mode != config.VPOff {
 		c.vpred = vp.New(cfg.VP)
 	}
@@ -318,12 +292,12 @@ func NewFromEmulator(cfg *config.Machine, e *emu.Emulator) *Core {
 	c.fuSetup()
 	c.fetchQ = newRing[fqEntry](cfg.FetchQueue)
 	c.decodeQ = newRing[dqEntry](dqCap)
-	c.predRing = make([]predInfo, emu.DefaultStreamCapacity)
 	c.curFetchLine = ^uint64(0)
 	c.skipOK = !cfg.DisableCycleSkip
 	if cfg.CrossCheck {
-		// Snapshot before the stream's first Peek advances the emulator,
-		// so the shadow starts from exactly the state retirement replays.
+		// Snapshot before Run starts the producer and it advances the
+		// emulator, so the shadow starts from exactly the state
+		// retirement replays.
 		c.xcheck = &crossCheck{shadow: e.Snapshot().Restore()}
 	}
 	return c
@@ -360,8 +334,12 @@ func (c *Core) SetStopCheck(fn func() bool) { c.stopCheck = fn }
 
 // Run simulates until maxInsts architectural instructions have committed
 // (post-warmup instructions count toward stats), or until the program
-// halts. warmup instructions commit before stats collection begins.
+// halts. warmup instructions commit before stats collection begins. The
+// run-ahead producer runs on its own goroutine for exactly the duration
+// of Run.
 func (c *Core) Run(warmup, maxInsts uint64) Result {
+	c.ra.start()
+	defer c.ra.stop()
 	var warmSnap stats.Sim
 	warmed := warmup == 0
 	stopped := false
@@ -502,29 +480,6 @@ func (c *Core) headState() string {
 		}
 	}
 	return s
-}
-
-// pred returns the fetch-time predictor record for seq; fresh reports
-// whether this is the first fetch of this dynamic instance (predictors
-// must only be queried and trained once per instance).
-//
-//tvp:hotpath
-func (c *Core) pred(seq uint64) (p *predInfo, fresh bool) {
-	p = &c.predRing[seq&(emu.DefaultStreamCapacity-1)]
-	if p.seqPlus1 != seq+1 {
-		// Reset fields individually rather than `*p = predInfo{...}`: the
-		// embedded vp.Lookup dominates the struct and every read of it is
-		// gated on vpValid, so clearing it per instruction is pure memclr
-		// cost on the fetch path.
-		p.seqPlus1 = seq + 1
-		p.bpMispred = false
-		p.btbMiss = false
-		p.vpValid = false
-		p.vpConf = false
-		p.vpValue = 0
-		return p, true
-	}
-	return p, false
 }
 
 // Stats exposes the accumulated counters (primarily for tests).

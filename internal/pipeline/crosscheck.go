@@ -48,22 +48,15 @@ type crossCheck struct {
 // µop); used predictions are captured at the main µop so multi-µop
 // instructions check the prediction their main µop consumed.
 func (x *crossCheck) retireUop(c *Core, u *uop) {
-	// The retiring µop's dynamic record is re-read from the stream arena
-	// (the ring far exceeds the instruction window, so the record is
-	// intact — the pred-ring check below asserts the same invariant for
-	// the predictor ring).
-	d := c.stream.At(u.seq)
+	// The retiring µop's dynamic record is re-read from the run-ahead
+	// ring, which holds it until the instruction commits. Were the slot
+	// overwritten, its record's Seq would differ from the shadow's and
+	// the seq check below would flag it.
+	s := c.ra.at(u.seq)
+	d := &s.d
 	if u.kind == isa.UOpMain && u.vpUsed {
-		// Read the fetch-time record directly: c.pred would reset a stale
-		// entry, and the ring (stream capacity) far exceeds the ROB, so a
-		// live instruction's entry can only be missing if something is
-		// deeply wrong — treat that as a divergence too.
-		p := &c.predRing[u.seq&(emu.DefaultStreamCapacity-1)]
-		if p.seqPlus1 != u.seq+1 {
-			x.fail(d, "pred-ring", u.seq+1, p.seqPlus1)
-		}
 		x.vpPend = true
-		x.vpVal = p.vpValue
+		x.vpVal = s.vpValue
 	}
 	if !u.last {
 		return

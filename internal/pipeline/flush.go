@@ -1,7 +1,7 @@
 package pipeline
 
 // flush squashes every in-flight µop with dynamic sequence number >= seq,
-// rewinds the instruction stream so those instructions are refetched,
+// rewinds the run-ahead ring's cursor so those instructions are refetched,
 // repairs the rename state (copy CRAT to RAT, then re-apply surviving
 // in-flight mappings in order — the recovery scheme of §3.2.1), and stalls
 // fetch for the redirect penalty. This is the recovery path for value
@@ -106,7 +106,7 @@ func (c *Core) flush(seq uint64, penalty uint64) {
 	// Frontend restart.
 	c.fetchQ.clear()
 	c.decodeQ.clear()
-	c.stream.Rewind(seq)
+	c.ra.rewind(seq)
 	c.curFetchLine = ^uint64(0)
 	c.waitBranchSeq = 0
 	c.haltSeen = false

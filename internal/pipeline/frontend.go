@@ -8,10 +8,10 @@ import (
 )
 
 // fetch models the 16-wide fetch stage: it pulls correct-path instructions
-// from the stream, probes the branch predictors and the value predictor
-// (once per dynamic instance), enforces taken-branch and BTB-mistarget
-// bubbles, stalls behind mispredicted branches until they resolve, and
-// charges L1I/ITLB latency per fetched line.
+// from the run-ahead ring, accounts the branch predictions and probes the
+// value predictor (once per dynamic instance), enforces taken-branch and
+// BTB-mistarget bubbles, stalls behind mispredicted branches until they
+// resolve, and charges L1I/ITLB latency per fetched line.
 //
 //tvp:hotpath
 func (c *Core) fetch() {
@@ -19,13 +19,14 @@ func (c *Core) fetch() {
 		return
 	}
 	for fetched := 0; fetched < c.cfg.FetchWidth && c.fetchQ.len() < c.cfg.FetchQueue; fetched++ {
-		d := c.stream.Peek()
-		if d == nil {
+		s := c.ra.peek()
+		if s == nil {
 			c.haltSeen = true
 			return
 		}
+		d := &s.d
 		if d.Inst.Op == isa.HALT {
-			c.stream.Advance()
+			c.ra.advance()
 			c.haltSeen = true
 			return
 		}
@@ -43,12 +44,12 @@ func (c *Core) fetch() {
 			}
 		}
 
-		p, fresh := c.pred(d.Seq)
-		if fresh {
-			c.firstFetch(d, p)
+		if d.Seq == c.fetchedTo {
+			c.fetchedTo++
+			c.firstFetch(s)
 		}
 
-		c.stream.Advance()
+		c.ra.advance()
 		f := c.fetchQ.pushSlot()
 		f.seq = d.Seq
 		f.fetchCycle = c.cycle
@@ -56,7 +57,7 @@ func (c *Core) fetch() {
 		c.st.FetchedInsts++
 
 		if c.crack[d.Index].flags&cfBranch != 0 {
-			if p.bpMispred {
+			if s.bpMispred {
 				// Fetch cannot proceed past a mispredicted branch until
 				// it resolves (trace-driven discipline: the wrong path is
 				// not simulated, its cost is this stall).
@@ -65,7 +66,7 @@ func (c *Core) fetch() {
 			}
 			if d.Taken {
 				bubble := uint64(c.cfg.TakenBranchPenalty)
-				if p.btbMiss {
+				if s.btbMiss {
 					bubble = uint64(c.cfg.DecodeMistarget)
 				}
 				c.fetchStallUntil = c.cycle + 1 + bubble
@@ -76,75 +77,48 @@ func (c *Core) fetch() {
 	}
 }
 
-// firstFetch performs the once-per-dynamic-instance predictor work:
-// conditional direction prediction (TAGE), target prediction (BTB, RAS,
-// indirect cache), global history maintenance for both TAGE and VTAGE, and
-// the value predictor probe.
+// firstFetch does the once-per-dynamic-instance work at an instruction's
+// first fetch: it counts the branch predictions the run-ahead producer
+// made (TAGE, BTB, RAS, indirect cache), fires the misprediction hook,
+// and probes the value predictor's tables with the producer's indices
+// and tags. A refetch after a flush reuses all of it.
 //
 //tvp:hotpath
-func (c *Core) firstFetch(d *emu.DynInst, p *predInfo) {
+func (c *Core) firstFetch(s *raSlot) {
+	d := &s.d
 	in := d.Inst
+	if s.btbMiss {
+		c.st.BTBMisses++
+	}
 	switch {
 	case isa.IsCondBranch(in.Op):
 		c.st.BranchLookups++
-		pr := c.tage.Predict(d.PC)
-		p.bpMispred = pr.Taken != d.Taken
-		if p.bpMispred {
+		if s.bpMispred {
 			c.st.BranchMispredicts++
-			if c.hooks != nil {
-				c.hooks.BranchMispredict(d.PC, in)
-			}
-		}
-		c.tage.Train(d.PC, pr, d.Taken)
-		if c.vpred != nil {
-			c.vpred.PushHistory(d.Taken)
-		}
-		if d.Taken {
-			if tgt, ok := c.btb.Lookup(d.PC); !ok || tgt != d.NextPC {
-				p.btbMiss = true
-				c.st.BTBMisses++
-			}
-			c.btb.Insert(d.PC, d.NextPC)
-			c.ind.PushPath(d.NextPC)
-		}
-	case in.Op == isa.B, in.Op == isa.BL:
-		if tgt, ok := c.btb.Lookup(d.PC); !ok || tgt != d.NextPC {
-			p.btbMiss = true
-			c.st.BTBMisses++
-		}
-		c.btb.Insert(d.PC, d.NextPC)
-		c.ind.PushPath(d.NextPC)
-		if in.Op == isa.BL {
-			c.ras.Push(d.PC + 4)
+			c.mispredictHook(d)
 		}
 	case in.Op == isa.RET:
-		tgt, ok := c.ras.Pop()
-		p.bpMispred = !ok || tgt != d.NextPC
-		if p.bpMispred {
+		if s.bpMispred {
 			c.st.RASMispreds++
-			if c.hooks != nil {
-				c.hooks.BranchMispredict(d.PC, in)
-			}
+			c.mispredictHook(d)
 		}
-		c.ind.PushPath(d.NextPC)
 	case in.Op == isa.BR:
-		tgt, ok := c.ind.Lookup(d.PC)
-		p.bpMispred = !ok || tgt != d.NextPC
-		if p.bpMispred {
+		if s.bpMispred {
 			c.st.IndirectMispreds++
-			if c.hooks != nil {
-				c.hooks.BranchMispredict(d.PC, in)
-			}
+			c.mispredictHook(d)
 		}
-		c.ind.Update(d.PC, d.NextPC)
 	}
 
 	if c.vpred != nil && in.VPEligible() {
-		l := &p.vpLookup
-		c.vpred.Predict(d.PC, l)
-		p.vpValid = true
-		p.vpConf = l.Confident
-		p.vpValue = l.Value
+		c.vpred.Predict(&s.vp)
+		s.vpValue = s.vp.Value
+	}
+}
+
+//tvp:hotpath
+func (c *Core) mispredictHook(d *emu.DynInst) {
+	if c.hooks != nil {
+		c.hooks.BranchMispredict(d.PC, d.Inst)
 	}
 }
 
@@ -283,8 +257,9 @@ func crackFlagsOf(in *isa.Inst) uint8 {
 }
 
 // dqCap bounds the decode-to-rename µop queue. Package-level because
-// trySkip must model decode's "output queue full" no-op condition.
-const dqCap = 32
+// trySkip must model decode's "output queue full" no-op condition; it
+// lives in config because config.Validate bounds the in-flight window.
+const dqCap = config.DecodeQueue
 
 // decode moves instructions from the fetch queue to the µop queue,
 // cracking pre/post-index memory operations into two µops.
@@ -456,18 +431,17 @@ func (c *Core) renameUop(u *uop, idx int32, e *dqEntry) {
 	// registration survives and the refetched instance re-registers), so
 	// a dependence is honored only when it names a strictly older store.
 	// The effective address is the one per-µop dynamic fact rename needs;
-	// it is re-read from the stream arena (the record is retained at least
-	// until the instruction leaves the window — the same invariant the
-	// predRing relies on).
+	// it is re-read from the run-ahead ring, which holds the record until
+	// the instruction commits.
 	if u.isLoad {
-		u.ea = c.stream.At(e.seq).EA
+		u.ea = c.ra.at(e.seq).d.EA
 		u.memSize = in.Size
 		if seq, ok := c.ssets.RenameLoad(ci.pc); ok && seq < u.seq {
 			u.memDepSeq = seq + 1
 		}
 	}
 	if u.isStore {
-		u.ea = c.stream.At(e.seq).EA
+		u.ea = c.ra.at(e.seq).d.EA
 		u.memSize = in.Size
 		if prev, ok := c.ssets.RenameStore(ci.pc, e.seq); ok && prev < u.seq {
 			u.memDepSeq = prev + 1
@@ -561,11 +535,11 @@ func (c *Core) tryValuePredict(u *uop, in *isa.Inst) {
 	if c.vpred == nil || !in.VPEligible() {
 		return
 	}
-	p, _ := c.pred(u.seq)
-	if !p.vpValid || !p.vpConf {
+	s := c.ra.at(u.seq)
+	if !s.vp.Confident {
 		return
 	}
-	v := p.vpValue
+	v := s.vpValue
 	mode := c.vpred.Mode()
 	if mode != config.GVP && !c.vpred.Representable(v) {
 		return
@@ -579,7 +553,7 @@ func (c *Core) tryValuePredict(u *uop, in *isa.Inst) {
 		// itself so a refetch after a flush replays the same corruption.
 		c.bugArmed = false
 		c.bugSeqPlus1 = u.seq + 1
-		p.vpValue ^= c.bugMask
+		s.vpValue ^= c.bugMask
 		v ^= c.bugMask
 	}
 	u.vpUsed = true

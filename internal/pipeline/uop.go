@@ -8,10 +8,11 @@
 // Table 2 cache/TLB/prefetcher hierarchy.
 //
 // The core is trace-fed: a functional emulator (internal/emu) runs ahead
-// and the pipeline consumes its correct-path dynamic stream. Branch
-// mispredictions stall fetch until the branch resolves; value
+// on a producer goroutine, with the branch predictors, and the pipeline
+// consumes its correct-path dynamic stream through a ring (runahead.go).
+// Branch mispredictions stall fetch until the branch resolves; value
 // mispredictions and memory order violations flush by rewinding the
-// stream (see DESIGN.md for the fidelity argument).
+// ring's cursor (see DESIGN.md for the fidelity argument).
 package pipeline
 
 import (
@@ -50,14 +51,14 @@ const noIdx int32 = -1
 // chasing heap pointers, and the entries carry no GC write barriers.
 //
 // The struct is deliberately pointer-free (enforced by the tvplint
-// hotstruct check): dynamic-record state is reached through the stream
-// arena by sequence number (Core.dynAt) and static-instruction state
-// through sIdx into the program text / crack tables, so the ROB ring is
-// invisible to the garbage collector — rewriting an entry at rename
-// carries no write barriers and the GC never scans the ring.
+// hotstruct check): dynamic-record state is reached through the
+// run-ahead ring by sequence number (runAhead.at) and static-instruction
+// state through sIdx into the program text / crack tables, so the ROB
+// ring is invisible to the garbage collector — rewriting an entry at
+// rename carries no write barriers and the GC never scans the ring.
 //
-// The struct is also deliberately compact (fat rename/VP metadata lives
-// in the predRing keyed by seq): renameUop rewrites a whole entry per
+// The struct is also deliberately compact (fat VP metadata lives in the
+// run-ahead ring keyed by seq): renameUop rewrites a whole entry per
 // µop, so every byte here is a byte of duffcopy on the hottest path in
 // the simulator.
 //
@@ -111,7 +112,7 @@ type uop struct {
 	eliminated  bool
 	moveBlocked bool
 
-	// Value prediction (training metadata stays in the predRing entry,
+	// Value prediction (training metadata stays in the run-ahead ring,
 	// re-read at commit; only the use-time policy bits live here).
 	vpUsed     bool // the prediction was consumed by renaming the dest
 	vpWide     bool // GVP: prediction written to the PRF (not inlined)

@@ -47,16 +47,16 @@ func InlineRepresentable(v uint64) bool {
 	return s >= InlineMin && s <= InlineMax
 }
 
-// Predictor is a VTAGE value predictor specialized by a targeting mode.
+// Predictor holds VTAGE's tables: it probes them with the indices and
+// tags a History computed (Predict) and trains them at retirement
+// (Train), specialized by a targeting mode.
 type Predictor struct {
-	cfg      config.VPConfig
-	base     []entry
-	baseMask uint64
-	tables   []table
-	nTagged  int
-	hist     *bp.HistorySet
-	rng      *xrand.Rand
-	confMax  uint8
+	cfg     config.VPConfig
+	base    []entry
+	tables  [][]entry
+	nTagged int
+	rng     *xrand.Rand
+	confMax uint8
 
 	silenceUntil uint64
 	allocSeed    uint64
@@ -64,13 +64,6 @@ type Predictor struct {
 	// Dynamic silencing state (config.VPConfig.DynamicSilence).
 	silWindow     int
 	correctStreak int
-}
-
-type table struct {
-	entries []entry
-	mask    uint64
-	tagMask uint64
-	histLen int
 }
 
 type entry struct {
@@ -82,42 +75,86 @@ type entry struct {
 
 // New builds a predictor from the configuration. The configuration's
 // TableLog2[0] sizes the tagless base table; the remaining entries size
-// the tagged tables whose history lengths are geometric between MinHist
-// and MaxHist.
+// the tagged tables.
 func New(cfg config.VPConfig) *Predictor {
-	n := len(cfg.TableLog2)
-	if n < 2 || n > MaxTables {
-		panic("vp: need 2..MaxTables tables")
-	}
+	n := tableCount(cfg)
 	p := &Predictor{
 		cfg:       cfg,
 		base:      make([]entry, 1<<cfg.TableLog2[0]),
-		baseMask:  1<<cfg.TableLog2[0] - 1,
 		nTagged:   n - 1,
 		rng:       xrand.New(cfg.Seed),
 		confMax:   uint8(1<<cfg.FPCBits - 1),
 		allocSeed: 0xdeadbeefcafef00d,
 	}
-	lens := bp.GeometricLengths(cfg.MinHist, cfg.MaxHist, p.nTagged)
-	foldLens := make([]int, 0, 2*p.nTagged)
-	foldWidths := make([]int, 0, 2*p.nTagged)
-	p.tables = make([]table, p.nTagged)
-	for i := 0; i < p.nTagged; i++ {
-		p.tables[i] = table{
-			entries: make([]entry, 1<<cfg.TableLog2[i+1]),
-			mask:    1<<cfg.TableLog2[i+1] - 1,
-			tagMask: 1<<cfg.TagBits[i+1] - 1,
-			histLen: lens[i],
-		}
+	p.tables = make([][]entry, p.nTagged)
+	for i := range p.tables {
+		p.tables[i] = make([]entry, 1<<cfg.TableLog2[i+1])
+	}
+	return p
+}
+
+func tableCount(cfg config.VPConfig) int {
+	n := len(cfg.TableLog2)
+	if n < 2 || n > MaxTables {
+		panic("vp: need 2..MaxTables tables")
+	}
+	return n
+}
+
+// History is VTAGE's branch-history side: the folded global history and
+// the per-table index and tag hashes computed from it. Both depend only
+// on the conditional-branch stream and the instruction's PC, never on
+// the tables' contents, so they are a pure function of program order:
+// the pipeline's run-ahead frontend owns a History and hashes every
+// instruction ahead of the timing core, which probes and trains the
+// Predictor's tables with the result.
+type History struct {
+	hist     *bp.HistorySet // index views [0..n), tag views [n..2n)
+	baseMask uint64
+	masks    []uint64 // per tagged table: index mask
+	tagMasks []uint64 // per tagged table: tag mask
+}
+
+// NewHistory builds the history for a configuration; the tagged tables'
+// history lengths are geometric between MinHist and MaxHist.
+func NewHistory(cfg config.VPConfig) *History {
+	nTagged := tableCount(cfg) - 1
+	h := &History{
+		baseMask: 1<<cfg.TableLog2[0] - 1,
+		masks:    make([]uint64, nTagged),
+		tagMasks: make([]uint64, nTagged),
+	}
+	lens := bp.GeometricLengths(cfg.MinHist, cfg.MaxHist, nTagged)
+	foldLens := make([]int, 0, 2*nTagged)
+	foldWidths := make([]int, 0, 2*nTagged)
+	for i := 0; i < nTagged; i++ {
+		h.masks[i] = 1<<cfg.TableLog2[i+1] - 1
+		h.tagMasks[i] = 1<<cfg.TagBits[i+1] - 1
 		foldLens = append(foldLens, lens[i])
 		foldWidths = append(foldWidths, int(cfg.TableLog2[i+1]))
 	}
-	for i := 0; i < p.nTagged; i++ {
+	for i := 0; i < nTagged; i++ {
 		foldLens = append(foldLens, lens[i])
 		foldWidths = append(foldWidths, int(cfg.TagBits[i+1]))
 	}
-	p.hist = bp.NewHistorySet(foldLens, foldWidths)
-	return p
+	h.hist = bp.NewHistorySet(foldLens, foldWidths)
+	return h
+}
+
+// Push inserts a conditional branch outcome into the global history. It
+// must be called in program order, once per conditional branch.
+func (h *History) Push(taken bool) { h.hist.Push(taken) }
+
+// Hash fills l's table indices and tags for the instruction at pc from
+// the current history. Slots past the configured tables keep whatever l
+// held.
+func (h *History) Hash(pc uint64, l *Lookup) {
+	l.indices[0] = uint32(pc >> 2 & h.baseMask)
+	n := len(h.masks)
+	for ti := 0; ti < n; ti++ {
+		l.indices[ti+1] = uint32((pc>>2 ^ pc>>7 ^ h.hist.Fold(ti) ^ uint64(ti+1)*0x85ebca6b) & h.masks[ti])
+		l.tags[ti+1] = uint16((pc>>2 ^ h.hist.Fold(n+ti)<<1 ^ uint64(ti)*0xc2b2ae35) & h.tagMasks[ti])
+	}
 }
 
 // Mode returns the targeting mode.
@@ -130,9 +167,6 @@ func (p *Predictor) Representable(v uint64) bool {
 	case config.MVP:
 		return v == 0 || v == 1
 	case config.TVP:
-		if DebugBoolOnly {
-			return v == 0 || v == 1
-		}
 		return InlineRepresentable(v)
 	case config.GVP:
 		return true
@@ -152,8 +186,9 @@ func (p *Predictor) quantize(v uint64) uint64 {
 	return v
 }
 
-// Lookup is the result of Predict plus the metadata Train needs. It rides
-// the pipeline's VP-tracking FIFO.
+// Lookup carries one instruction's VTAGE state from History.Hash through
+// Predict to Train: the indices and tags Hash computed, and the
+// prediction and provider Predict found.
 type Lookup struct {
 	// Value is the predicted value (valid only when Hit).
 	Value uint64
@@ -168,31 +203,14 @@ type Lookup struct {
 	tags     [MaxTables]uint16
 }
 
-func (p *Predictor) index(pc uint64, ti int) uint64 {
-	h := p.hist.Fold(ti)
-	return (pc>>2 ^ pc>>7 ^ h ^ uint64(ti+1)*0x85ebca6b) & p.tables[ti].mask
-}
-
-func (p *Predictor) tag(pc uint64, ti int) uint16 {
-	h := p.hist.Fold(p.nTagged + ti)
-	return uint16((pc>>2 ^ h<<1 ^ uint64(ti)*0xc2b2ae35) & p.tables[ti].tagMask)
-}
-
-// Predict looks up a value prediction for the instruction at pc into l,
-// which the caller owns (the pipeline passes its per-instruction slot, so
-// the ~100-byte Lookup is never copied). It must be called in fetch order;
-// l must later be passed to Train exactly once (at retirement), in order.
-// Predict writes every field Train reads; index and tag slots past the
-// configured tables keep whatever l held.
-func (p *Predictor) Predict(pc uint64, l *Lookup) {
-	bi := pc >> 2 & p.baseMask
-	l.indices[0] = uint32(bi)
-	for ti := 0; ti < p.nTagged; ti++ {
-		l.indices[ti+1] = uint32(p.index(pc, ti))
-		l.tags[ti+1] = p.tag(pc, ti)
-	}
+// Predict probes the tables at the indices and tags History.Hash wrote
+// into l, which the caller owns (the pipeline passes its per-instruction
+// ring slot, so the ~100-byte Lookup is never copied). It must be called
+// in fetch order; l must later be passed to Train exactly once (at
+// retirement), in order. Predict writes every other field Train reads.
+func (p *Predictor) Predict(l *Lookup) {
 	for ti := p.nTagged - 1; ti >= 0; ti-- {
-		e := &p.tables[ti].entries[l.indices[ti+1]]
+		e := &p.tables[ti][l.indices[ti+1]]
 		if e.tag == l.tags[ti+1] {
 			l.provider = ti
 			l.Hit = true
@@ -201,7 +219,7 @@ func (p *Predictor) Predict(pc uint64, l *Lookup) {
 			return
 		}
 	}
-	e := &p.base[bi]
+	e := &p.base[l.indices[0]]
 	l.provider = -1
 	l.Hit = true
 	l.Value = e.pred
@@ -220,7 +238,7 @@ func (p *Predictor) Train(l *Lookup, actual uint64) {
 
 	var e *entry
 	if l.provider >= 0 {
-		e = &p.tables[l.provider].entries[l.indices[l.provider+1]]
+		e = &p.tables[l.provider][l.indices[l.provider+1]]
 		// The entry may have been reallocated to another PC since
 		// prediction; the tag check keeps training honest.
 		if e.tag != l.tags[l.provider+1] {
@@ -262,7 +280,7 @@ func (p *Predictor) Train(l *Lookup, actual uint64) {
 			start++
 		}
 		for ti := start; ti < p.nTagged; ti++ {
-			ne := &p.tables[ti].entries[l.indices[ti+1]]
+			ne := &p.tables[ti][l.indices[ti+1]]
 			if ne.useful == 0 {
 				*ne = entry{pred: q, tag: l.tags[ti+1]}
 				break
@@ -271,11 +289,6 @@ func (p *Predictor) Train(l *Lookup, actual uint64) {
 		}
 	}
 }
-
-// PushHistory inserts a conditional branch outcome into the global history
-// used for table indexing. The pipeline calls this at fetch, in program
-// order, once per conditional branch.
-func (p *Predictor) PushHistory(taken bool) { p.hist.Push(taken) }
 
 // Silencing bounds for the dynamic scheme.
 const (
@@ -354,13 +367,10 @@ func (p *Predictor) StorageBits() int {
 	bits := len(p.base) * (pred + int(p.cfg.FPCBits) + int(p.cfg.TagBits[0]))
 	for i := range p.tables {
 		per := pred + int(p.cfg.FPCBits) + int(p.cfg.UsefulBits) + int(p.cfg.TagBits[i+1])
-		bits += len(p.tables[i].entries) * per
+		bits += len(p.tables[i]) * per
 	}
 	return bits
 }
 
 // StorageKB returns the storage footprint in kibibytes.
 func (p *Predictor) StorageKB() float64 { return float64(p.StorageBits()) / 8 / 1024 }
-
-// DebugBoolOnly restricts TVP to {0,1} values (diagnostic; tests only).
-var DebugBoolOnly bool

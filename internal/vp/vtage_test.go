@@ -8,22 +8,33 @@ import (
 	"repro/internal/config"
 )
 
-func newPred(mode config.VPMode) *Predictor {
+// vtage pairs a Predictor with the History that hashes for it, the way
+// the pipeline splits them between its timing core and its run-ahead
+// frontend.
+type vtage struct {
+	*Predictor
+	hist *History
+}
+
+func newVTAGE(cfg config.VPConfig) vtage { return vtage{New(cfg), NewHistory(cfg)} }
+
+func newPred(mode config.VPMode) vtage {
 	cfg := config.Default().VP
 	cfg.Mode = mode
-	return New(cfg)
+	return newVTAGE(cfg)
+}
+
+// predict hashes pc and probes the tables into a fresh Lookup.
+func predict(p vtage, pc uint64) *Lookup {
+	l := new(Lookup)
+	p.hist.Hash(pc, l)
+	p.Predict(l)
+	return l
 }
 
 // trainStable feeds n instances of a stable value at pc and returns the
 // final lookup.
-// predict runs Predict into a fresh Lookup.
-func predict(p *Predictor, pc uint64) *Lookup {
-	l := new(Lookup)
-	p.Predict(pc, l)
-	return l
-}
-
-func trainStable(p *Predictor, pc, v uint64, n int) *Lookup {
+func trainStable(p vtage, pc, v uint64, n int) *Lookup {
 	var l *Lookup
 	for i := 0; i < n; i++ {
 		l = predict(p, pc)
@@ -215,9 +226,9 @@ func TestHistoryDistinguishesContexts(t *testing.T) {
 	correct, used := 0, 0
 	for i := 0; i < 20000; i++ {
 		ctx := i % 2
-		p.PushHistory(ctx == 1)
-		p.PushHistory(ctx == 0)
-		p.PushHistory(true)
+		p.hist.Push(ctx == 1)
+		p.hist.Push(ctx == 0)
+		p.hist.Push(true)
 		l := predict(p, pc)
 		v := uint64(100 + ctx)
 		if i > 10000 && l.Confident {
@@ -275,7 +286,7 @@ func TestDynamicSilencingDecays(t *testing.T) {
 	cfg.Mode = config.GVP
 	cfg.DynamicSilence = true
 	cfg.SilenceCycles = 64
-	p := New(cfg)
+	p := newVTAGE(cfg)
 	for i := 0; i < 6; i++ {
 		p.Silence(uint64(i) * 100000)
 	}
@@ -289,5 +300,14 @@ func TestDynamicSilencingDecays(t *testing.T) {
 	// After ≥3 decays from the 512-cap the window is at most 128.
 	if p.Silenced(10_000_000 + 129) {
 		t.Error("window did not decay after sustained correct predictions")
+	}
+}
+
+// TestHistoryFoldsDeduplicated: under Table 2 the first two tagged
+// tables fold 9-bit indices and 9-bit tags over the same lengths, so
+// VTAGE's 14 views need only 12 distinct folds.
+func TestHistoryFoldsDeduplicated(t *testing.T) {
+	if got := NewHistory(config.Default().VP).hist.Folds(); got != 12 {
+		t.Fatalf("VTAGE folds = %d, want 12", got)
 	}
 }
