@@ -19,6 +19,8 @@
 #   make report-diff  # fail unless a default tvpreport run reproduces
 #                     # docs/report.txt byte for byte
 #   make report       # regenerate the full EXPERIMENTS.md report
+#   make loc          # non-test Go line counts: all lines, and lines
+#                     # that are neither blank nor comment-only
 
 GO ?= go
 
@@ -59,7 +61,7 @@ BENCH_GUARD_ALLOCS ?= 266
 BENCH_GUARD_MIPS ?= 3.29
 BENCH_GUARD_MIPS_LOWIPC ?= 1.80
 
-.PHONY: check fmt-check vet lint build test race bench bench-guard bench-smoke fuzz-smoke verify-suite serve-smoke report-diff report
+.PHONY: check fmt-check vet lint build test race bench bench-guard bench-smoke fuzz-smoke verify-suite serve-smoke report-diff report loc
 
 # lint runs before test so an invariant violation fails fast, before the
 # (much slower) full suite.
@@ -165,3 +167,10 @@ report-diff:
 
 report:
 	$(GO) run ./cmd/tvpreport -cachestats
+
+# The line counts CHANGES.md entries quote, over tracked *.go files
+# except _test.go files, anything under a testdata/ directory, and the
+# benchmark module cmd/tvpbench/.
+loc:
+	@git ls-files '*.go' | grep -v -E '_test\.go$$|(^|/)testdata/|^cmd/tvpbench/' | xargs cat | \
+	awk '{ all++ } !/^[[:space:]]*(\/\/|$$)/ { code++ } END { printf "loc: %d lines, %d code lines (neither blank nor comment-only)\n", all, code }'

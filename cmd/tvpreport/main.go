@@ -44,7 +44,6 @@ func main() {
 		nocache    = flag.Bool("nocache", false, "bypass the run memoization cache")
 		cpistack   = flag.Bool("cpistack", false, "print the top-down CPI-stack cycle accounting (base vs TVP+SpSR)")
 		workers    = flag.Int("j", 0, "concurrent simulation workers for sweeps (0 = all CPU cores); results are byte-identical at any -j")
-		fastwarm   = flag.Bool("fastwarmup", false, "resume runs from a shared functional warmup checkpoint (cold microarch state; see README)")
 		cacheStats = flag.Bool("cachestats", false, "print run-cache hit/miss counters on exit")
 		jsonDir    = flag.String("json", "", "write machine-readable run records (one JSON file per point + sweep.json) into this directory")
 		progress   = flag.Bool("progress", true, "print a live sweep heartbeat to stderr (runs done/total, cache recalls, MIPS, ETA)")
@@ -80,7 +79,7 @@ func main() {
 	if *workers < 0 {
 		fatal(fmt.Errorf("-j %d out of range (want >= 0)", *workers))
 	}
-	cfg := report.Config{Warmup: *warm, Insts: *insts, NoCache: *nocache, FastWarmup: *fastwarm, Workers: *workers}
+	cfg := report.Config{Warmup: *warm, Insts: *insts, NoCache: *nocache, Workers: *workers}
 	if *progress {
 		cfg.Heartbeat = obs.NewHeartbeat(os.Stderr)
 		cfg.Heartbeat.SetWorkers(cfg.EffectiveWorkers())

@@ -14,10 +14,9 @@ import (
 //
 // A Snapshot is safe for concurrent use: any number of goroutines may
 // Restore from the same snapshot and run the resulting emulators in
-// parallel. The canonical use is warmup checkpointing — run one
-// functional warmup per workload, snapshot, and let the N timing
-// configurations over that workload resume from the shared checkpoint
-// instead of re-warming N times.
+// parallel. The pipeline's CrossCheck mode restores its shadow emulator
+// from one (pipeline.NewFromEmulator), and workload.Checkpoint returns
+// one for the benchmark's functional-warmup measurement.
 type Snapshot struct {
 	prog   *prog.Program
 	x      [isa.NumRegs]uint64

@@ -10,9 +10,8 @@ import (
 
 // CPI-stack observation: the obs side of the top-down cycle accounting
 // layer (internal/pipeline/cpistack.go computes the stack; this file
-// receives it). Telemetry implements pipeline.CPIProbe structurally, so
-// attaching a Telemetry arms the accounting and every RunRecord it
-// assembles carries:
+// receives it). Attaching a Telemetry as the pipeline's Probe arms the
+// accounting, and every RunRecord it assembles carries:
 //
 //   - RunRecord.CPI — the post-warmup commit-slot totals per bucket
 //     (exactly Totals.Cycles × CommitWidth slots);
@@ -36,10 +35,6 @@ func (t *Telemetry) CPISample(committed, cycle uint64, cs *stats.CPIStack) {
 func (t *Telemetry) CommitStall(pc uint64, in *isa.Inst, slots uint64) {
 	t.commitStall.Add(pc, in, slots)
 }
-
-// CPITotals exposes the latest CPI-stack snapshot (the run's totals once
-// it has finished).
-func (t *Telemetry) CPITotals() stats.CPIStack { return t.cpi }
 
 // DecodeRunRecord parses a versioned RunRecord, accepting the current v2
 // schema and the legacy v1 (whose records predate the CPI block; their

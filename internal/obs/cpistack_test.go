@@ -73,7 +73,7 @@ func TestDecodeRunRecordVersions(t *testing.T) {
 }
 
 // TestTelemetryCPICoverage runs a real pipeline with Telemetry attached
-// (which arms CPI accounting through the CPIProbe seam) and checks the
+// (which arms CPI accounting through the Probe seam) and checks the
 // whole v2 payload hangs together: the record's CPI block decomposes
 // Cycles × CommitWidth exactly, the interval CPIDeltas sum back to it,
 // and the commit-stall attribution is bounded by the idle-slot total.

@@ -61,7 +61,6 @@ type RunMeta struct {
 	// SpSR setting are embedded in the record.
 	Cfg           *config.Machine
 	Warmup, Insts uint64
-	FastWarmup    bool
 	// Cached marks a point recalled from the run memoization cache
 	// rather than simulated (tvpreport sweeps).
 	Cached bool
@@ -72,15 +71,14 @@ type RunMeta struct {
 // executed with telemetry attached — the interval time series and the
 // per-PC attribution tables.
 type RunRecord struct {
-	Schema     string `json:"schema"`
-	Workload   string `json:"workload"`
-	ConfigFP   string `json:"config_fp"`
-	VPMode     string `json:"vp_mode"`
-	SpSR       bool   `json:"spsr"`
-	Warmup     uint64 `json:"warmup"`
-	Insts      uint64 `json:"insts"`
-	FastWarmup bool   `json:"fast_warmup,omitempty"`
-	Cached     bool   `json:"cached,omitempty"`
+	Schema   string `json:"schema"`
+	Workload string `json:"workload"`
+	ConfigFP string `json:"config_fp"`
+	VPMode   string `json:"vp_mode"`
+	SpSR     bool   `json:"spsr"`
+	Warmup   uint64 `json:"warmup"`
+	Insts    uint64 `json:"insts"`
+	Cached   bool   `json:"cached,omitempty"`
 
 	Summary Summary   `json:"summary"`
 	Totals  stats.Sim `json:"totals"`
@@ -101,14 +99,13 @@ type RunRecord struct {
 // builds the fully instrumented shape.
 func NewRunRecord(meta RunMeta, totals stats.Sim) *RunRecord {
 	rec := &RunRecord{
-		Schema:     RunSchema,
-		Workload:   meta.Workload,
-		Warmup:     meta.Warmup,
-		Insts:      meta.Insts,
-		FastWarmup: meta.FastWarmup,
-		Cached:     meta.Cached,
-		Summary:    Summarize(&totals),
-		Totals:     totals,
+		Schema:   RunSchema,
+		Workload: meta.Workload,
+		Warmup:   meta.Warmup,
+		Insts:    meta.Insts,
+		Cached:   meta.Cached,
+		Summary:  Summarize(&totals),
+		Totals:   totals,
 	}
 	if meta.Cfg != nil {
 		rec.ConfigFP = meta.Cfg.Fingerprint()
@@ -151,11 +148,10 @@ type SweepLog struct {
 }
 
 type sweepKey struct {
-	workload   string
-	fp         string
-	warmup     uint64
-	insts      uint64
-	fastWarmup bool
+	workload string
+	fp       string
+	warmup   uint64
+	insts    uint64
 }
 
 // NewSweepLog returns an empty log; the sweep wall clock starts now.
@@ -169,12 +165,7 @@ func NewSweepLog() *SweepLog {
 // update the run counters but keep a single record, marked Cached if any
 // occurrence was a cache recall.
 func (l *SweepLog) AddCPI(meta RunMeta, totals stats.Sim, cpi *stats.CPIStack) {
-	key := sweepKey{
-		workload:   meta.Workload,
-		warmup:     meta.Warmup,
-		insts:      meta.Insts,
-		fastWarmup: meta.FastWarmup,
-	}
+	key := sweepKey{workload: meta.Workload, warmup: meta.Warmup, insts: meta.Insts}
 	if meta.Cfg != nil {
 		key.fp = meta.Cfg.Fingerprint()
 	}
@@ -185,10 +176,7 @@ func (l *SweepLog) AddCPI(meta RunMeta, totals stats.Sim, cpi *stats.CPIStack) {
 	if meta.Cached {
 		l.cached++
 	} else {
-		l.simInsts += meta.Insts
-		if !meta.FastWarmup {
-			l.simInsts += meta.Warmup
-		}
+		l.simInsts += meta.Warmup + meta.Insts
 	}
 	if i, ok := l.byKey[key]; ok {
 		if meta.Cached {

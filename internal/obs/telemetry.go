@@ -29,8 +29,8 @@ type Telemetry struct {
 	vpFlush *TopPC
 	brMiss  *TopPC
 	l1dMiss *TopPC
-	// CPI-stack observation (cpistack.go): Telemetry also satisfies
-	// pipeline.CPIProbe, so attaching it arms commit-slot accounting.
+	// CPI-stack observation (cpistack.go): attaching a Telemetry arms
+	// the pipeline's commit-slot accounting.
 	commitStall *TopPC
 	cpi         stats.CPIStack // latest snapshot (run totals at the tail)
 }

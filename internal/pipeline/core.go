@@ -139,13 +139,11 @@ type Core struct {
 
 	// Top-down CPI-stack accounting (cpistack.go). acct is nil until the
 	// warmup boundary of a run with accounting requested (EnableCPIStack
-	// or an attached CPIProbe), so the detached hot path pays one
-	// nil-check per cycle. redirectCause is maintained unconditionally
-	// (flush paths are cold) and read only by the classifier.
+	// or an attached Probe), so the detached hot path pays one nil-check
+	// per cycle. redirectCause is maintained unconditionally (flush paths
+	// are cold) and read only by the classifier.
 	cpiOn         bool
 	acct          *cpiAcct
-	cpiProbe      CPIProbe // probe's CPI extension, if it has one
-	cpiHooks      CPIProbe // armed alongside acct at the warmup boundary
 	redirectCause uint8
 
 	committed   uint64 // committed architectural instructions (total)
@@ -170,13 +168,14 @@ func New(cfg *config.Machine, p *prog.Program) *Core {
 }
 
 // NewFromEmulator builds a core over an existing emulator, which may be
-// mid-program — typically one restored from a warmup checkpoint
-// (emu.Snapshot.Restore), so several timing configurations can share a
-// single functional warmup. The emulator is the core's only instruction
-// source. The cross-check shadow is snapshotted from it here; from then
-// on the emulator belongs to the core's run-ahead producer (runahead.go),
-// which each Run starts and joins, and which also runs the branch
-// predictors. Sequence numbering continues from the emulator's position.
+// mid-program. New calls it with a fresh emulator; the fuzz tests and
+// cmd/tvpbench (which resumes from workload.Checkpoint to price a
+// functional warmup) pass their own. The emulator is the core's only
+// instruction source. The cross-check shadow is snapshotted from it
+// here; from then on the emulator belongs to the core's run-ahead
+// producer (runahead.go), which each Run starts and joins, and which also
+// runs the branch predictors. Sequence numbering continues from the
+// emulator's position.
 func NewFromEmulator(cfg *config.Machine, e *emu.Emulator) *Core {
 	p := e.Prog
 	if err := cfg.Validate(); err != nil {
@@ -314,7 +313,7 @@ type Result struct {
 	// not be cached or served as the point's result.
 	Stopped bool
 	// CPI is the post-warmup commit-slot attribution (zero unless
-	// EnableCPIStack was called or a CPIProbe was attached). Invariant:
+	// EnableCPIStack was called or a Probe was attached). Invariant:
 	// CPI.Total() == Stats.Cycles × CommitWidth, exactly.
 	CPI stats.CPIStack
 }
@@ -484,9 +483,6 @@ func (c *Core) headState() string {
 
 // Stats exposes the accumulated counters (primarily for tests).
 func (c *Core) Stats() *stats.Sim { return &c.st }
-
-// MemHierarchy exposes the cache hierarchy (for tests and diagnostics).
-func (c *Core) MemHierarchy() *cache.Hierarchy { return c.mem }
 
 // Cycle returns the current cycle.
 func (c *Core) Cycle() uint64 { return c.cycle }

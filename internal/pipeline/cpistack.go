@@ -68,7 +68,7 @@ type cpiAcct struct {
 }
 
 // EnableCPIStack arms commit-slot accounting for this core's next Run
-// (post-warmup, like all stats). Attaching a CPIProbe arms it too; this
+// (post-warmup, like all stats). Attaching a Probe arms it too; this
 // switch exists for probe-less runs that want Result.CPI.
 func (c *Core) EnableCPIStack() { c.cpiOn = true }
 
@@ -78,9 +78,8 @@ func (c *Core) EnableCPIStack() { c.cpiOn = true }
 // Returns the interval-sampling period and first boundary (0,0 when
 // interval sampling is off).
 func (c *Core) armObservers() (probeEvery, probeNext uint64) {
-	if c.cpiOn || c.cpiProbe != nil {
+	if c.cpiOn || c.probe != nil {
 		c.acct = &cpiAcct{}
-		c.cpiHooks = c.cpiProbe
 	}
 	if c.probe == nil {
 		return 0, 0
@@ -99,8 +98,8 @@ func (c *Core) armObservers() (probeEvery, probeNext uint64) {
 // before every counter Sample so the probe's interval deltas line up
 // with the stats.Sim deltas.
 func (c *Core) cpiSample() {
-	if c.cpiHooks != nil {
-		c.cpiHooks.CPISample(c.committed, c.cycle, &c.acct.st)
+	if c.hooks != nil {
+		c.hooks.CPISample(c.committed, c.cycle, &c.acct.st)
 	}
 }
 
@@ -138,9 +137,9 @@ func (c *Core) cpiAccount() {
 		return
 	}
 	*c.classifyIdle(c.cycle, c.stallSum() != a.stallBase) += idle
-	if c.robCnt > 0 && c.cpiHooks != nil {
+	if c.robCnt > 0 && c.hooks != nil {
 		h := &c.rob[c.robHead]
-		c.cpiHooks.CommitStall(c.crack[h.sIdx].pc, c.instOf(h), idle)
+		c.hooks.CommitStall(c.crack[h.sIdx].pc, c.instOf(h), idle)
 	}
 }
 
@@ -153,9 +152,9 @@ func (c *Core) cpiAccount() {
 func (c *Core) cpiSkip(n, delta uint64, structural bool) {
 	slots := delta * uint64(c.cfg.CommitWidth)
 	*c.classifyIdle(n, structural) += slots
-	if c.robCnt > 0 && c.cpiHooks != nil {
+	if c.robCnt > 0 && c.hooks != nil {
 		h := &c.rob[c.robHead]
-		c.cpiHooks.CommitStall(c.crack[h.sIdx].pc, c.instOf(h), slots)
+		c.hooks.CommitStall(c.crack[h.sIdx].pc, c.instOf(h), slots)
 	}
 }
 
@@ -208,14 +207,4 @@ func (c *Core) classifyIdle(at uint64, structural bool) *uint64 {
 		return &a.BackendMemory
 	}
 	return &a.BackendCore
-}
-
-// CPIStackTotals exposes the accumulated post-warmup stack (zero before
-// arming or when accounting is off). Primarily for tests; runs normally
-// read Result.CPI.
-func (c *Core) CPIStackTotals() stats.CPIStack {
-	if c.acct == nil {
-		return stats.CPIStack{}
-	}
-	return c.acct.st
 }

@@ -127,7 +127,7 @@ func TestCPIStackZeroInterference(t *testing.T) {
 	}
 }
 
-// TestCPIStackOffByDefault: without EnableCPIStack or a CPIProbe the
+// TestCPIStackOffByDefault: without EnableCPIStack or a Probe the
 // accounting never arms and Result.CPI stays zero.
 func TestCPIStackOffByDefault(t *testing.T) {
 	spec, err := workload.Get(workload.Names()[0])

@@ -36,19 +36,10 @@ type Probe interface {
 	// L1DMiss attributes one L1D demand miss to the accessing load or
 	// store PC.
 	L1DMiss(pc uint64, in *isa.Inst)
-}
-
-// CPIProbe is the optional extension of Probe for top-down CPI-stack
-// accounting (cpistack.go). A probe that implements it additionally
-// receives the accumulated commit-slot attribution at every sampling
-// point and a per-blocking-instruction stall event stream; attaching one
-// also arms the accounting itself (no separate EnableCPIStack needed).
-// Probes that don't implement it keep working unchanged.
-type CPIProbe interface {
-	Probe
-	// CPISample delivers the live post-warmup CPI stack, immediately
-	// before every Sample call (same cadence, same committed/cycle
-	// coordinates). The callee must copy cs if it retains it.
+	// CPISample delivers the live post-warmup CPI stack (cpistack.go),
+	// immediately before every Sample call (same cadence, same
+	// committed/cycle coordinates). The callee must copy cs if it
+	// retains it.
 	CPISample(committed, cycle uint64, cs *stats.CPIStack)
 	// CommitStall attributes a cycle's idle commit slots (or a skipped
 	// span's slots) to the instruction blocking the ROB head. Only
@@ -58,15 +49,14 @@ type CPIProbe interface {
 }
 
 // SetProbe attaches a telemetry probe to the core (nil detaches). Probing
-// has no effect on simulated timing. Attribution events (hooks) stay
-// disarmed until the warmup boundary so the tables line up with the
-// post-warmup counter totals; interval sampling is driven by Run.
+// has no effect on simulated timing. Attaching a probe arms CPI-stack
+// accounting. Attribution events (hooks) stay disarmed until the warmup
+// boundary so the tables line up with the post-warmup counter totals;
+// interval sampling is driven by Run.
 func (c *Core) SetProbe(p Probe) {
 	c.probe = p
-	c.cpiProbe, _ = p.(CPIProbe)
 	if p == nil {
 		c.hooks = nil
-		c.cpiHooks = nil
 	}
 }
 

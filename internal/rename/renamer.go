@@ -297,15 +297,3 @@ func (r *Renamer) SetNZCV(f isa.Flags, spec bool) {
 // flag writer renames (§4.2: "invalidated as soon as the next condition
 // flag writer is renamed").
 func (r *Renamer) InvalidateNZCV() { r.nzcvKnown = false }
-
-// LiveInt returns the number of live (non-free, non-hardwired) integer
-// physical registers; used by invariants tests.
-func (r *Renamer) LiveInt() int {
-	live := 0
-	for p := 2; p < r.nPhysInt; p++ {
-		if r.rc[p] > 0 {
-			live++
-		}
-	}
-	return live
-}

@@ -25,7 +25,7 @@ type CPIRow struct {
 // decomposes exactly: Total() == post-warmup cycles × CommitWidth.
 func CPIStacks(c Config) ([]CPIRow, error) {
 	names := c.names()
-	rs, err := c.sweep(names, c.base(), c.base().WithVP(config.TVP).WithSpSR(true))
+	rs, err := c.sweep(names, config.Default(), config.Default().WithVP(config.TVP).WithSpSR(true))
 	if err != nil {
 		return nil, err
 	}

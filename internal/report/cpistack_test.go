@@ -150,18 +150,3 @@ func TestCPIStacksParallelismInvariance(t *testing.T) {
 		t.Errorf("CPI sweep differs between -j 1 and -j 8:\n%s\nvs\n%s", serial, parallel)
 	}
 }
-
-// TestCPIStacksFastWarmup: the checkpoint-resumed path composes with CPI
-// accounting (accounting arms at the measurement boundary either way).
-func TestCPIStacksFastWarmup(t *testing.T) {
-	c := tiny()
-	c.Workloads = []string{"654_roms_s"}
-	c.FastWarmup = true
-	rows, err := CPIStacks(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Base.Total() == 0 || rows[0].TVP.Total() == 0 {
-		t.Fatalf("fast-warmup CPI stacks empty: %+v", rows[0])
-	}
-}

@@ -36,21 +36,11 @@ type Config struct {
 	Insts uint64
 	// Workloads restricts the suite (nil = all 28 points).
 	Workloads []string
-	// Base overrides the machine configuration (nil = Table 2).
-	Base *config.Machine
 	// NoCache bypasses the process-wide run memoization, forcing every
 	// simulation to execute. Results are bit-identical either way (the
 	// simulator is deterministic); this exists for benchmarking the
 	// uncached path and for the cache-equivalence tests.
 	NoCache bool
-	// FastWarmup replaces the timed warmup with a functional fast-forward
-	// resumed from a shared per-workload architectural checkpoint
-	// (workload.Checkpoint): the N timing configurations over one
-	// workload warm up once instead of N times. Measurement then starts
-	// with cold microarchitectural state (caches, predictors), so
-	// absolute numbers differ slightly from the paper's timed-warmup
-	// discipline — use it for quick sweeps, not for EXPERIMENTS.md.
-	FastWarmup bool
 	// Workers bounds the number of concurrently executing simulations in
 	// a sweep (tvpreport -j). <= 0 means runtime.NumCPU() — the sweeps are
 	// CPU-bound, so the machine's core count is the right default even
@@ -121,13 +111,6 @@ func aggregates(names []string) (func(string) bool, int) {
 	return func(n string) bool { return in[n] }, len(sub)
 }
 
-func (c Config) base() *config.Machine {
-	if c.Base != nil {
-		return c.Base
-	}
-	return config.Default()
-}
-
 func (c Config) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
@@ -147,19 +130,20 @@ func (c Config) sweep(names []string, cfgs ...*config.Machine) ([]Result, error)
 	pts := make([]Point, 0, len(names)*len(cfgs))
 	for _, n := range names {
 		for _, cf := range cfgs {
-			pts = append(pts, Point{Workload: n, Cfg: cf, Warmup: c.Warmup, Insts: c.Insts, FastWarmup: c.FastWarmup})
+			pts = append(pts, Point{Workload: n, Cfg: cf, Warmup: c.Warmup, Insts: c.Insts})
 		}
 	}
 	return c.runAll(pts)
 }
 
-// runCache memoizes timing runs process-wide, keyed by (workload, machine
-// fingerprint, run length). The paper's figures re-simulate the same
-// points over and over — every figure re-runs the baseline, Fig. 5
-// re-runs Fig. 3's MVP/TVP points, Table 3's 1× row is Fig. 3 again, the
-// CPI stacks are Fig. 2's and Fig. 4b's runs — so across a full E1–E14
-// sweep most runs are cache hits, and singleflight deduplication lets
-// concurrent experiments share an in-flight execution.
+// runCache memoizes timing runs process-wide, keyed by Point.Key (model
+// version, workload, machine fingerprint, run length). The paper's
+// figures re-simulate the same points over and over — every figure
+// re-runs the baseline, Fig. 5 re-runs Fig. 3's MVP/TVP points, Table 3's
+// 1× row is Fig. 3 again, the CPI stacks are Fig. 2's and Fig. 4b's runs
+// — so across a full E1–E14 sweep most runs are cache hits, and
+// singleflight deduplication lets concurrent experiments share an
+// in-flight execution.
 var runCache = simcache.New[simcache.RunKey, Result]()
 
 // RunCacheCounters exposes the run cache's cumulative hits and misses
@@ -175,47 +159,41 @@ func ResetRunCache() { runCache.Reset() }
 func ResetCPICache() { ResetRunCache() }
 
 // runOne executes (or recalls) one run through the memoization layer,
-// reporting to the optional telemetry sinks.
+// reporting to the optional telemetry sinks. A call counts as a recall
+// exactly when its own simulate closure did not run: it found the result
+// cached or joined another call's in-flight run.
 func (c Config) runOne(p Point) (Result, error) {
-	simulate := func() (Result, error) { return Execute(context.Background(), p, Attach{}) }
-	observed := c.Heartbeat != nil || c.Obs != nil
+	simulated := false
+	simulate := func() (Result, error) {
+		simulated = true
+		return Execute(context.Background(), p, Attach{})
+	}
 	var r Result
 	var err error
-	cached := false
 	if c.NoCache {
 		r, err = simulate()
 	} else {
-		key := p.Key()
-		if observed {
-			// Peek so the sinks can distinguish recalls from fresh
-			// simulations; Do below still owns the singleflight semantics.
-			_, cached = runCache.Get(key)
-		}
-		r, err = runCache.Do(key, simulate)
+		r, err = runCache.Do(p.Key(), simulate)
 	}
-	if !observed || err != nil {
+	if err != nil {
 		return r, err
 	}
 	if c.Heartbeat != nil {
 		// A recall reports zeros: the line covers what was simulated.
 		var done Result
-		var simulated uint64
-		if !cached {
-			done, simulated = r, p.Insts
-			if !p.FastWarmup {
-				simulated += p.Warmup
-			}
+		var insts uint64
+		if simulated {
+			done, insts = r, p.Warmup+p.Insts
 		}
-		c.Heartbeat.RunDoneStats(simulated, cached, done.Cycles, done.Skipped, &done.CPI)
+		c.Heartbeat.RunDoneStats(insts, !simulated, done.Cycles, done.Skipped, &done.CPI)
 	}
 	if c.Obs != nil {
 		c.Obs.AddCPI(obs.RunMeta{
-			Workload:   p.Workload,
-			Cfg:        p.Cfg,
-			Warmup:     p.Warmup,
-			Insts:      p.Insts,
-			FastWarmup: p.FastWarmup,
-			Cached:     cached,
+			Workload: p.Workload,
+			Cfg:      p.Cfg,
+			Warmup:   p.Warmup,
+			Insts:    p.Insts,
+			Cached:   !simulated,
 		}, r.Stats, &r.CPI)
 	}
 	return r, nil
@@ -352,7 +330,7 @@ type Fig2Row struct {
 // Fig2 runs the baseline machine on every workload.
 func Fig2(c Config) ([]Fig2Row, float64, float64, error) {
 	names := c.names()
-	rs, err := c.sweep(names, c.base())
+	rs, err := c.sweep(names, config.Default())
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -393,7 +371,7 @@ type Fig3Summary struct {
 // Fig3 runs baseline + MVP + TVP + GVP on every workload.
 func Fig3(c Config) ([]Fig3Row, Fig3Summary, error) {
 	names := c.names()
-	b := c.base()
+	b := config.Default()
 	rs, err := c.sweep(names, b.WithVP(config.VPOff), b.WithVP(config.MVP), b.WithVP(config.TVP), b.WithVP(config.GVP))
 	if err != nil {
 		return nil, Fig3Summary{}, err
@@ -454,20 +432,20 @@ func Table3(c Config) ([]Table3Row, error) {
 	names := c.paperNames()
 	modes := []config.VPMode{config.MVP, config.TVP, config.GVP}
 	rows := make([]Table3Row, len(deltas))
-	baseRs, err := c.sweep(names, c.base()) // baselines once
+	baseRs, err := c.sweep(names, config.Default()) // baselines once
 	if err != nil {
 		return nil, err
 	}
 	for di, dl := range deltas {
 		row := Table3Row{Label: dl.label, Log2Delta: dl.d}
 		row.Geomean, err = c.vpGeomeans(names, baseRs, func(m config.VPMode) *config.Machine {
-			return c.base().WithVPBudgetScale(dl.d).WithVP(m)
+			return config.Default().WithVPBudgetScale(dl.d).WithVP(m)
 		})
 		if err != nil {
 			return nil, err
 		}
 		for mi, m := range modes {
-			row.StorageKB[mi] = StorageKB(c.base().WithVPBudgetScale(dl.d), m)
+			row.StorageKB[mi] = StorageKB(config.Default().WithVPBudgetScale(dl.d), m)
 		}
 		rows[di] = row
 	}
@@ -510,7 +488,7 @@ type Fig4Row struct {
 // workload and reports the elimination breakdown.
 func Fig4(c Config, mode config.VPMode) ([]Fig4Row, Fig4Row, error) {
 	names := c.names()
-	rs, err := c.sweep(names, c.base().WithVP(mode).WithSpSR(true))
+	rs, err := c.sweep(names, config.Default().WithVP(mode).WithSpSR(true))
 	if err != nil {
 		return nil, Fig4Row{}, err
 	}
@@ -556,7 +534,7 @@ type Fig5Row struct {
 // Fig5 runs the four configurations of Fig. 5 plus the baseline.
 func Fig5(c Config) ([]Fig5Row, [4]float64, error) {
 	names := c.names()
-	b := c.base()
+	b := config.Default()
 	rs, err := c.sweep(names, b,
 		b.WithVP(config.MVP),
 		b.WithVP(config.MVP).WithSpSR(true),
@@ -607,14 +585,14 @@ func Fig6(c Config) ([]Fig6Row, error) {
 		cfg   *config.Machine
 	}
 	cfgs := []cfgDef{
-		{"Min. VP", c.base().WithVP(config.MVP)},
-		{"Min. VP + SpSR", c.base().WithVP(config.MVP).WithSpSR(true)},
-		{"Tar. VP", c.base().WithVP(config.TVP)},
-		{"Tar. VP + SpSR", c.base().WithVP(config.TVP).WithSpSR(true)},
-		{"Gen. VP", c.base().WithVP(config.GVP)},
-		{"Gen. VP + SpSR", c.base().WithVP(config.GVP).WithSpSR(true)},
+		{"Min. VP", config.Default().WithVP(config.MVP)},
+		{"Min. VP + SpSR", config.Default().WithVP(config.MVP).WithSpSR(true)},
+		{"Tar. VP", config.Default().WithVP(config.TVP)},
+		{"Tar. VP + SpSR", config.Default().WithVP(config.TVP).WithSpSR(true)},
+		{"Gen. VP", config.Default().WithVP(config.GVP)},
+		{"Gen. VP + SpSR", config.Default().WithVP(config.GVP).WithSpSR(true)},
 	}
-	machines := []*config.Machine{c.base()}
+	machines := []*config.Machine{config.Default()}
 	for _, cd := range cfgs {
 		machines = append(machines, cd.cfg)
 	}
@@ -658,7 +636,7 @@ type SilencingRow struct {
 // AblationSilencing sweeps the misprediction silencing window.
 func AblationSilencing(c Config, windows []int) ([]SilencingRow, error) {
 	names := c.paperNames()
-	baseRs, err := c.sweep(names, c.base())
+	baseRs, err := c.sweep(names, config.Default())
 	if err != nil {
 		return nil, err
 	}
@@ -666,7 +644,7 @@ func AblationSilencing(c Config, windows []int) ([]SilencingRow, error) {
 	for wi, wnd := range windows {
 		rows[wi].Cycles = wnd
 		rows[wi].Geomean, err = c.vpGeomeans(names, baseRs, func(m config.VPMode) *config.Machine {
-			cf := c.base().WithVP(m)
+			cf := config.Default().WithVP(m)
 			cf.VP.SilenceCycles = wnd
 			return cf
 		})
@@ -682,13 +660,13 @@ func AblationSilencing(c Config, windows []int) ([]SilencingRow, error) {
 // flavor.
 func AblationDynamicSilence(c Config) (fixed, dynamic [3]float64, err error) {
 	names := c.paperNames()
-	baseRs, err := c.sweep(names, c.base())
+	baseRs, err := c.sweep(names, config.Default())
 	if err != nil {
 		return fixed, dynamic, err
 	}
 	silencing := func(dyn bool) func(config.VPMode) *config.Machine {
 		return func(m config.VPMode) *config.Machine {
-			cf := c.base().WithVP(m)
+			cf := config.Default().WithVP(m)
 			cf.VP.DynamicSilence = dyn
 			return cf
 		}
@@ -707,12 +685,12 @@ func AblationDynamicSilence(c Config) (fixed, dynamic [3]float64, err error) {
 // 22% PRF reads over baseline", §6.1).
 func AblationValidation(c Config) (speedup [2]float64, prfReads [2]float64, err error) {
 	names := c.paperNames()
-	baseRs, err := c.sweep(names, c.base())
+	baseRs, err := c.sweep(names, config.Default())
 	if err != nil {
 		return speedup, prfReads, err
 	}
 	for variant := 0; variant < 2; variant++ {
-		cf := c.base().WithVP(config.GVP)
+		cf := config.Default().WithVP(config.GVP)
 		cf.VP.ValidateAtRetire = variant == 1
 		rs, err := c.sweep(names, cf)
 		if err != nil {
@@ -742,9 +720,9 @@ type PrefetchRow struct {
 // AblationPrefetch runs the §6.2 stride-prefetcher interaction study.
 func AblationPrefetch(c Config) ([]PrefetchRow, error) {
 	names := c.names()
-	noStride := c.base().Clone()
+	noStride := config.Default().Clone()
 	noStride.StridePrefetch = false
-	rs, err := c.sweep(names, c.base(), c.base().WithVP(config.TVP).WithSpSR(true),
+	rs, err := c.sweep(names, config.Default(), config.Default().WithVP(config.TVP).WithSpSR(true),
 		noStride, noStride.WithVP(config.TVP).WithSpSR(true))
 	if err != nil {
 		return nil, err

@@ -268,27 +268,6 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestFastWarmup checks the checkpoint-resumed warmup path end to end: it
-// must run every workload without error and report plausible IPCs. (Its
-// numbers legitimately differ from the timed-warmup discipline, so no
-// equality is asserted — see Config.FastWarmup.)
-func TestFastWarmup(t *testing.T) {
-	c := tiny()
-	c.FastWarmup = true
-	rows, _, err := Fig3(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.BaseIPC <= 0 || r.BaseIPC > 8 {
-			t.Errorf("%s fast-warmup IPC %.3f implausible", r.Workload, r.BaseIPC)
-		}
-	}
-}
-
 func TestUnknownWorkloadError(t *testing.T) {
 	c := tiny()
 	c.Workloads = []string{"600_perlbench_s_1", "no_such_workload"}

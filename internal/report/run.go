@@ -27,20 +27,24 @@ type Point struct {
 	Cfg    *config.Machine
 	Warmup uint64
 	Insts  uint64
-	// FastWarmup replaces the timed warmup with a functional fast-forward
-	// from a shared per-workload checkpoint (see Config.FastWarmup).
-	FastWarmup bool
 }
+
+// ModelVersion identifies the timing model. Point.Key puts it in every
+// run key, so a result stored under another model version reads as a
+// miss, never as a stale answer. Bump it in the change that moves any
+// simulated result: TestModelGrid (package tvp, the module root) fails
+// until that change does so and regenerates testdata/model_grid.json.
+const ModelVersion = 1
 
 // Key returns the canonical content-addressed cache/store key of the
 // point. Two points with equal keys produce bit-identical results.
 func (p Point) Key() simcache.RunKey {
 	return simcache.RunKey{
-		Workload:   p.Workload,
-		ConfigFP:   p.Cfg.Fingerprint(),
-		Warmup:     p.Warmup,
-		Insts:      p.Insts,
-		FastWarmup: p.FastWarmup,
+		Model:    ModelVersion,
+		Workload: p.Workload,
+		ConfigFP: p.Cfg.Fingerprint(),
+		Warmup:   p.Warmup,
+		Insts:    p.Insts,
 	}
 }
 
@@ -91,25 +95,14 @@ func Execute(ctx context.Context, p Point, a Attach) (res Result, err error) {
 			}
 		}
 	}()
-	var core *pipeline.Core
-	warm := p.Warmup
-	switch {
-	case p.Program != nil:
-		core = pipeline.New(p.Cfg, p.Program)
-	case p.FastWarmup:
-		snap, err := workload.Checkpoint(p.Workload, p.Warmup)
-		if err != nil {
+	prg := p.Program
+	if prg == nil {
+		var err error
+		if prg, err = workload.Program(p.Workload); err != nil {
 			return Result{}, err
 		}
-		core = pipeline.NewFromEmulator(p.Cfg, snap.Restore())
-		warm = 0
-	default:
-		prg, err := workload.Program(p.Workload)
-		if err != nil {
-			return Result{}, err
-		}
-		core = pipeline.New(p.Cfg, prg)
 	}
+	core := pipeline.New(p.Cfg, prg)
 	core.EnableCPIStack()
 	if a.Probe != nil {
 		core.SetProbe(a.Probe)
@@ -127,7 +120,7 @@ func Execute(ctx context.Context, p Point, a Attach) (res Result, err error) {
 			}
 		})
 	}
-	r := core.Run(warm, p.Insts)
+	r := core.Run(p.Warmup, p.Insts)
 	if r.Stopped {
 		return Result{}, fmt.Errorf("report: simulate %s: %w", p.Workload, ctx.Err())
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/stats"
@@ -16,11 +18,13 @@ import (
 // panicProbe is a telemetry probe whose first Sample panics with v.
 type panicProbe struct{ v any }
 
-func (p panicProbe) SampleEvery() uint64               { return 0 }
-func (p panicProbe) Sample(uint64, uint64, *stats.Sim) { panic(p.v) }
-func (panicProbe) VPFlush(uint64, *isa.Inst)           {}
-func (panicProbe) BranchMispredict(uint64, *isa.Inst)  {}
-func (panicProbe) L1DMiss(uint64, *isa.Inst)           {}
+func (p panicProbe) SampleEvery() uint64                     { return 0 }
+func (p panicProbe) Sample(uint64, uint64, *stats.Sim)       { panic(p.v) }
+func (panicProbe) VPFlush(uint64, *isa.Inst)                 {}
+func (panicProbe) BranchMispredict(uint64, *isa.Inst)        {}
+func (panicProbe) L1DMiss(uint64, *isa.Inst)                 {}
+func (panicProbe) CPISample(uint64, uint64, *stats.CPIStack) {}
+func (panicProbe) CommitStall(uint64, *isa.Inst, uint64)     {}
 
 // TestExecuteRecoversPanic: a simulator panic inside a pool job comes
 // back from Execute as an error wrapping the panic value (so errors.As
@@ -70,5 +74,27 @@ func TestExecuteRecoversPanic(t *testing.T) {
 	r, err := run(Attach{})
 	if err != nil || r.Stats.ArchInsts == 0 {
 		t.Fatalf("job after the panics: %+v, %v", r.Stats, err)
+	}
+}
+
+// TestRunAllCountsEachRunOnce: a point requested twice in one sweep is
+// simulated once and recalled once, also when the second request joins
+// the first while it is still in flight, so the sweep log and the
+// heartbeat count its instructions once.
+func TestRunAllCountsEachRunOnce(t *testing.T) {
+	ResetRunCache()
+	var beat bytes.Buffer
+	c := Config{Workers: 2, Obs: obs.NewSweepLog(), Heartbeat: obs.NewHeartbeat(&beat)}
+	p := Point{Workload: "648_exchange2_s", Cfg: config.Default(), Warmup: 1000, Insts: 10000}
+	if _, err := c.runAll([]Point{p, p}); err != nil {
+		t.Fatal(err)
+	}
+	sw := c.Obs.Sweep(RunCacheCounters())
+	if sw.Runs != 2 || sw.CachedRuns != 1 || sw.SimInsts != 11000 {
+		t.Fatalf("runs %d, cached %d, siminsts %d; want 2, 1 and 11000", sw.Runs, sw.CachedRuns, sw.SimInsts)
+	}
+	c.Heartbeat.Finish()
+	if !strings.Contains(beat.String(), "2/2 runs (1 cached)") {
+		t.Fatalf("heartbeat %q, want 2/2 runs with 1 cached", beat.String())
 	}
 }

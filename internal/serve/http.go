@@ -45,15 +45,10 @@ var errUnknownWorkload = errors.New("unknown workload")
 type RunRequest struct {
 	Workload string `json:"workload"`
 	// VP names the value-prediction flavor: off|mvp|tvp|gvp.
-	VP   string `json:"vp"`
-	SpSR bool   `json:"spsr"`
-	// NineBitIdiom overrides the 9-bit idiom-elimination default implied
-	// by the VP mode (ablation knob; the combination must still pass
-	// config.Machine.Validate).
-	NineBitIdiom *bool  `json:"nine_bit_idiom,omitempty"`
-	Warmup       uint64 `json:"warmup"`
-	Insts        uint64 `json:"insts"`
-	FastWarmup   bool   `json:"fast_warmup,omitempty"`
+	VP     string `json:"vp"`
+	SpSR   bool   `json:"spsr"`
+	Warmup uint64 `json:"warmup"`
+	Insts  uint64 `json:"insts"`
 	// TimeoutMS bounds the request; on expiry the run is stopped from
 	// inside the cycle loop and 504 is returned.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -65,12 +60,11 @@ type SweepRequest struct {
 	// Workloads defaults to the full suite when empty.
 	Workloads []string `json:"workloads,omitempty"`
 	// VPModes defaults to off,mvp,tvp,gvp when empty.
-	VPModes    []string `json:"vp_modes,omitempty"`
-	SpSR       bool     `json:"spsr"`
-	Warmup     uint64   `json:"warmup"`
-	Insts      uint64   `json:"insts"`
-	FastWarmup bool     `json:"fast_warmup,omitempty"`
-	TimeoutMS  int64    `json:"timeout_ms,omitempty"`
+	VPModes   []string `json:"vp_modes,omitempty"`
+	SpSR      bool     `json:"spsr"`
+	Warmup    uint64   `json:"warmup"`
+	Insts     uint64   `json:"insts"`
+	TimeoutMS int64    `json:"timeout_ms,omitempty"`
 }
 
 // apiError is the structured error body (and, during a sweep, the
@@ -150,18 +144,14 @@ func (r RunRequest) point() (report.Point, error) {
 		return report.Point{}, err
 	}
 	cfg := config.Default().WithVP(mode).WithSpSR(r.SpSR)
-	if r.NineBitIdiom != nil {
-		cfg.NineBitIdiom = *r.NineBitIdiom
-	}
 	if err := cfg.Validate(); err != nil {
 		return report.Point{}, err
 	}
 	return report.Point{
-		Workload:   r.Workload,
-		Cfg:        cfg,
-		Warmup:     r.Warmup,
-		Insts:      r.Insts,
-		FastWarmup: r.FastWarmup,
+		Workload: r.Workload,
+		Cfg:      cfg,
+		Warmup:   r.Warmup,
+		Insts:    r.Insts,
 	}, nil
 }
 
@@ -182,12 +172,11 @@ func (r SweepRequest) points() ([]report.Point, error) {
 	for _, w := range names {
 		for _, m := range modes {
 			p, err := RunRequest{
-				Workload:   w,
-				VP:         m,
-				SpSR:       r.SpSR,
-				Warmup:     r.Warmup,
-				Insts:      r.Insts,
-				FastWarmup: r.FastWarmup,
+				Workload: w,
+				VP:       m,
+				SpSR:     r.SpSR,
+				Warmup:   r.Warmup,
+				Insts:    r.Insts,
 			}.point()
 			if err != nil {
 				return nil, err
@@ -279,11 +268,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := obs.NewRunRecord(obs.RunMeta{
-		Workload:   p.Workload,
-		Cfg:        p.Cfg,
-		Warmup:     p.Warmup,
-		Insts:      p.Insts,
-		FastWarmup: p.FastWarmup,
+		Workload: p.Workload,
+		Cfg:      p.Cfg,
+		Warmup:   p.Warmup,
+		Insts:    p.Insts,
 	}, st)
 	b, err := recordBytes(rec)
 	if err != nil {
@@ -330,11 +318,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			rec := obs.NewRunRecord(obs.RunMeta{
-				Workload:   p.Workload,
-				Cfg:        p.Cfg,
-				Warmup:     p.Warmup,
-				Insts:      p.Insts,
-				FastWarmup: p.FastWarmup,
+				Workload: p.Workload,
+				Cfg:      p.Cfg,
+				Warmup:   p.Warmup,
+				Insts:    p.Insts,
 			}, st)
 			b, err := recordBytes(rec)
 			if err != nil {

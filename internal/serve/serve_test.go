@@ -136,28 +136,33 @@ func TestRunMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	wl := testWorkload(t, 0)
 	cases := []struct {
-		name, body string
-		code       int
+		name, path, body string
+		code             int
 	}{
-		{"bad json", `{"workload":`, http.StatusBadRequest},
-		{"unknown field", `{"workload":"` + wl + `","insts":1000,"bogus":1}`, http.StatusBadRequest},
-		{"bad vp mode", `{"workload":"` + wl + `","vp":"evp","insts":1000}`, http.StatusBadRequest},
-		{"zero insts", `{"workload":"` + wl + `","vp":"tvp"}`, http.StatusBadRequest},
-		// MVP + 9-bit idiom elimination is rejected by
-		// config.Machine.Validate: the idiom path needs TVP/GVP inlining.
-		{"invalid config", `{"workload":"` + wl + `","vp":"mvp","nine_bit_idiom":true,"insts":1000}`, http.StatusBadRequest},
-		{"insts over cap", fmt.Sprintf(`{"workload":%q,"insts":%d}`, wl, maxPointInsts+1), http.StatusBadRequest},
-		{"warmup plus insts over cap", fmt.Sprintf(`{"workload":%q,"warmup":%d,"insts":%d}`, wl, maxPointInsts/2+1, maxPointInsts/2), http.StatusBadRequest},
-		{"warmup overflows", fmt.Sprintf(`{"workload":%q,"warmup":%d,"insts":1000}`, wl, uint64(1<<64-1)), http.StatusBadRequest},
-		{"oversized body", `{"workload":"` + wl + `","insts":1000,"vp":"` + strings.Repeat(" ", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"bad json", "/v1/run", `{"workload":`, http.StatusBadRequest},
+		{"unknown field", "/v1/run", `{"workload":"` + wl + `","insts":1000,"bogus":1}`, http.StatusBadRequest},
+		{"bad vp mode", "/v1/run", `{"workload":"` + wl + `","vp":"evp","insts":1000}`, http.StatusBadRequest},
+		{"zero insts", "/v1/run", `{"workload":"` + wl + `","vp":"tvp"}`, http.StatusBadRequest},
+		// Removed run knobs are unknown fields, rejected by the decoder.
+		{"nine_bit_idiom is an unknown field", "/v1/run", `{"workload":"` + wl + `","vp":"mvp","nine_bit_idiom":true,"insts":1000}`, http.StatusBadRequest},
+		{"fast_warmup is an unknown field", "/v1/run", `{"workload":"` + wl + `","insts":1000,"fast_warmup":true}`, http.StatusBadRequest},
+		{"fast_warmup is an unknown sweep field", "/v1/sweep", `{"workloads":["` + wl + `"],"insts":1000,"fast_warmup":true}`, http.StatusBadRequest},
+		{"insts over cap", "/v1/run", fmt.Sprintf(`{"workload":%q,"insts":%d}`, wl, maxPointInsts+1), http.StatusBadRequest},
+		{"warmup plus insts over cap", "/v1/run", fmt.Sprintf(`{"workload":%q,"warmup":%d,"insts":%d}`, wl, maxPointInsts/2+1, maxPointInsts/2), http.StatusBadRequest},
+		{"warmup overflows", "/v1/run", fmt.Sprintf(`{"workload":%q,"warmup":%d,"insts":1000}`, wl, uint64(1<<64-1)), http.StatusBadRequest},
+		{"oversized body", "/v1/run", `{"workload":"` + wl + `","insts":1000,"vp":"` + strings.Repeat(" ", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp := postJSON(t, ts.URL+"/v1/run", c.body)
+			resp := postJSON(t, ts.URL+c.path, c.body)
+			body := readBody(t, resp)
 			if resp.StatusCode != c.code {
-				t.Fatalf("status = %d, want %d (body %.200s)", resp.StatusCode, c.code, readBody(t, resp))
+				t.Fatalf("status = %d, want %d (body %.200s)", resp.StatusCode, c.code, body)
 			}
-			decodeError(t, readBody(t, resp))
+			e := decodeError(t, body)
+			if strings.Contains(c.name, "unknown") && !strings.Contains(e.Error, "unknown field") {
+				t.Fatalf("error = %q, want an unknown-field rejection", e.Error)
+			}
 		})
 	}
 }

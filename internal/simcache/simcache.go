@@ -20,20 +20,21 @@ import (
 	"sync/atomic"
 )
 
-// RunKey identifies one timing simulation: the workload, the canonical
-// machine-configuration fingerprint (config.Machine.Fingerprint), and the
-// run length. Two runs with equal RunKeys produce bit-identical stats, so
-// the result of one can stand in for the other.
+// RunKey identifies one timing simulation: the timing-model version, the
+// workload, the canonical machine-configuration fingerprint
+// (config.Machine.Fingerprint), and the run length. Two runs with equal
+// RunKeys produce bit-identical stats, so the result of one can stand in
+// for the other. The JSON form is the persistent store's on-disk key.
 type RunKey struct {
-	Workload string
+	// Model is the timing-model version that produced the result
+	// (report.ModelVersion), so a result outlives no timing change.
+	Model    int    `json:"model"`
+	Workload string `json:"workload"`
 	// ConfigFP is the canonical content fingerprint of the machine
 	// configuration (config.Machine.Fingerprint).
-	ConfigFP string
-	Warmup   uint64
-	Insts    uint64
-	// FastWarmup distinguishes checkpoint-resumed runs from fully timed
-	// ones: they are not bit-identical and must not share cache entries.
-	FastWarmup bool
+	ConfigFP string `json:"config_fp"`
+	Warmup   uint64 `json:"warmup"`
+	Insts    uint64 `json:"insts"`
 }
 
 // entry is one in-flight or completed computation.

@@ -4,14 +4,14 @@
 // restarts and shared between every process pointed at the same
 // directory. The design leans on the content-addressed nature of the
 // keys — a simulation point's result is a pure function of its RunKey,
-// so records never need invalidation, versioning beyond the envelope
-// schema, or coordination between writers (two processes racing to write
-// the same key write identical payloads).
+// which names the timing-model version, so records never need
+// invalidation or coordination between writers (two processes racing to
+// write the same key write identical payloads).
 //
 // Durability discipline:
 //
-//   - one record file per key, named by the SHA-256 of the canonical key
-//     string, written write-temp-then-rename so a crash never leaves a
+//   - one record file per key, named by the SHA-256 of the key's JSON
+//     encoding, written write-temp-then-rename so a crash never leaves a
 //     partial record under a record name;
 //   - every record embeds its full key and a SHA-256 checksum of the
 //     payload; Get verifies both, so a hash-colliding, renamed, bit-rotted
@@ -37,8 +37,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Schema versions the on-disk record envelope.
-const Schema = "tvp.store/v1"
+// Schema versions the on-disk record envelope. A record under another
+// schema is quarantined at Open and recomputed.
+const Schema = "tvp.store/v2"
 
 const (
 	recordsDir    = "records"
@@ -51,26 +52,9 @@ const (
 // map ordering or encoder drift.
 type envelope struct {
 	Schema   string          `json:"schema"`
-	Key      keyJSON         `json:"key"`
+	Key      simcache.RunKey `json:"key"`
 	Checksum string          `json:"checksum"`
 	Payload  json.RawMessage `json:"payload"`
-}
-
-// keyJSON mirrors simcache.RunKey with stable JSON field names.
-type keyJSON struct {
-	Workload   string `json:"workload"`
-	ConfigFP   string `json:"config_fp"`
-	Warmup     uint64 `json:"warmup"`
-	Insts      uint64 `json:"insts"`
-	FastWarmup bool   `json:"fast_warmup"`
-}
-
-func toKeyJSON(k simcache.RunKey) keyJSON {
-	return keyJSON{Workload: k.Workload, ConfigFP: k.ConfigFP, Warmup: k.Warmup, Insts: k.Insts, FastWarmup: k.FastWarmup}
-}
-
-func (k keyJSON) runKey() simcache.RunKey {
-	return simcache.RunKey{Workload: k.Workload, ConfigFP: k.ConfigFP, Warmup: k.Warmup, Insts: k.Insts, FastWarmup: k.FastWarmup}
 }
 
 // Counters is a snapshot of the store's cumulative activity, surfaced by
@@ -168,11 +152,10 @@ func (s *Store) Counters() Counters {
 }
 
 // fileName returns the record file name for a key: the SHA-256 of the
-// canonical key string. Field values are separated by NUL (none of the
-// fields may contain one) so distinct keys can never collide textually.
+// key's JSON encoding, the same bytes the envelope embeds.
 func fileName(k simcache.RunKey) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%s\x00%d\x00%d\x00%t",
-		k.Workload, k.ConfigFP, k.Warmup, k.Insts, k.FastWarmup)))
+	b, _ := json.Marshal(k) // strings and integers always encode
+	h := sha256.Sum256(b)
 	return hex.EncodeToString(h[:]) + ".json"
 }
 
@@ -222,7 +205,7 @@ func (s *Store) Put(k simcache.RunKey, st stats.Sim) error {
 	sum := sha256.Sum256(payload)
 	env := envelope{
 		Schema:   Schema,
-		Key:      toKeyJSON(k),
+		Key:      k,
 		Checksum: hex.EncodeToString(sum[:]),
 		Payload:  payload,
 	}
@@ -272,8 +255,7 @@ func decodeRecord(name string, data []byte) (simcache.RunKey, stats.Sim, error) 
 	if env.Schema != Schema {
 		return simcache.RunKey{}, stats.Sim{}, fmt.Errorf("store: record %s: schema %q (want %s)", name, env.Schema, Schema)
 	}
-	key := env.Key.runKey()
-	if want := fileName(key); want != name {
+	if want := fileName(env.Key); want != name {
 		return simcache.RunKey{}, stats.Sim{}, fmt.Errorf("store: record %s embeds a key hashing to %s", name, want)
 	}
 	sum := sha256.Sum256(env.Payload)
@@ -284,7 +266,7 @@ func decodeRecord(name string, data []byte) (simcache.RunKey, stats.Sim, error) 
 	if err := json.Unmarshal(env.Payload, &st); err != nil {
 		return simcache.RunKey{}, stats.Sim{}, fmt.Errorf("store: record %s payload: %w", name, err)
 	}
-	return key, st, nil
+	return env.Key, st, nil
 }
 
 // quarantine moves a bad record aside (best effort — removal if the move

@@ -2,6 +2,10 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +16,7 @@ import (
 )
 
 func testKey(workload string) simcache.RunKey {
-	return simcache.RunKey{Workload: workload, ConfigFP: "fp-" + workload, Warmup: 1000, Insts: 20000}
+	return simcache.RunKey{Model: 1, Workload: workload, ConfigFP: "fp-" + workload, Warmup: 1000, Insts: 20000}
 }
 
 func testStats(seed uint64) stats.Sim {
@@ -174,6 +178,61 @@ func TestWrongSchemaQuarantined(t *testing.T) {
 		return bytes.Replace(d, []byte(Schema), []byte("tvp.store/v999"), 1)
 	})
 	assertQuarantined(t, s, a, b)
+}
+
+// TestV1RecordQuarantinedAtOpen: a record in the tvp.store/v1 envelope,
+// whose key carried fast_warmup and no model version, is quarantined at
+// Open for its schema and never served, even with a valid checksum.
+func TestV1RecordQuarantinedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	k := testKey("a")
+	payload, err := json.Marshal(testStats(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	v1 := fmt.Sprintf(`{"schema":"tvp.store/v1","key":{"workload":%q,"config_fp":%q,"warmup":%d,"insts":%d,"fast_warmup":false},"checksum":"%x","payload":%s}`+"\n",
+		k.Workload, k.ConfigFP, k.Warmup, k.Insts, sum, payload)
+	// The v1 record name: SHA-256 over the NUL-separated key fields.
+	h := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%s\x00%d\x00%d\x00%t", k.Workload, k.ConfigFP, k.Warmup, k.Insts, false)))
+	name := hex.EncodeToString(h[:]) + ".json"
+	if err := os.MkdirAll(filepath.Join(dir, recordsDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, recordsDir, name), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := open(t, dir)
+	if c := s.Counters(); c.Quarantined != 1 || s.Len() != 0 {
+		t.Fatalf("after Open: %+v, Len %d; want the v1 record quarantined", c, s.Len())
+	}
+	reason, err := os.ReadFile(filepath.Join(dir, quarantineDir, name+".reason"))
+	if err != nil || !strings.Contains(string(reason), `schema "tvp.store/v1"`) {
+		t.Fatalf("quarantine reason %q (%v), want the v1 schema named", reason, err)
+	}
+	if _, ok := s.Get(k); ok {
+		t.Fatal("Get served a point the v1 store held")
+	}
+}
+
+// TestOtherModelVersionMisses: a result stored under another timing-model
+// version is a plain miss for the current key, not a corrupt record.
+func TestOtherModelVersionMisses(t *testing.T) {
+	s := open(t, t.TempDir())
+	k := testKey("a")
+	old := k
+	old.Model++
+	mustPut(t, s, old, testStats(1))
+	if _, ok := s.Get(k); ok {
+		t.Fatal("a record of another model version served for the current key")
+	}
+	if got, ok := s.Get(old); !ok || got != testStats(1) {
+		t.Fatalf("Get(old) = %+v, %v", got, ok)
+	}
+	if c := s.Counters(); c.Quarantined != 0 || c.Misses != 1 || c.Hits != 1 {
+		t.Fatalf("counters = %+v, want one miss, one hit, nothing quarantined", c)
+	}
 }
 
 func TestStaleIndexEntryEvicted(t *testing.T) {

@@ -39,9 +39,9 @@ func Program(name string) (*prog.Program, error) {
 // Checkpoint returns an architectural-state snapshot of the named
 // workload after skip functionally executed instructions, computing it at
 // most once per (name, skip) pair. The snapshot is immutable and safe to
-// Restore concurrently, so N timing configurations over one workload can
-// resume from a single shared post-warmup checkpoint instead of
-// re-executing the warmup N times.
+// Restore concurrently. Its one caller is cmd/tvpbench, which prices a
+// functional warmup against the timed one (workload.fastwarmup_gain_x);
+// every simulation a user runs warms up timed, through report.Execute.
 func Checkpoint(name string, skip uint64) (*emu.Snapshot, error) {
 	return checkpoints.Do(checkpointKey{name, skip}, func() (*emu.Snapshot, error) {
 		p, err := Program(name)
