@@ -4,7 +4,9 @@
 //
 // Identical simulation points (workload, machine fingerprint, warmup,
 // insts) are memoized across experiments, so e.g. the baseline runs
-// shared by Figs. 2/3/5/6 and Table 3 are simulated once.
+// shared by Figs. 2/3/5/6 and Table 3 are simulated once, and a
+// silencing-ablation point whose default-silencing run never silenced
+// the value predictor shares that run.
 //
 // Usage:
 //
@@ -14,7 +16,7 @@
 //	tvpreport -storage        # §3.3 predictor storage model
 //	tvpreport -ablation silencing|prefetch
 //	tvpreport -insts 250000 -warmup 50000
-//	tvpreport -nocache        # re-simulate every point (cache bypass)
+//	tvpreport -nocache        # re-simulate every point (no memoization, no sharing)
 //	tvpreport -cpistack       # top-down CPI stack, base vs TVP+SpSR
 //	tvpreport -j 4            # bound the sweep worker pool (0 = all CPU cores)
 //	tvpreport -json out/      # also write machine-readable run records
@@ -41,7 +43,7 @@ func main() {
 		ablation   = flag.String("ablation", "", "run an ablation: silencing|prefetch|dynsilence|validation")
 		warm       = flag.Uint64("warmup", 50_000, "warmup instructions per run")
 		insts      = flag.Uint64("insts", 250_000, "measured instructions per run")
-		nocache    = flag.Bool("nocache", false, "bypass the run memoization cache")
+		nocache    = flag.Bool("nocache", false, "simulate every point: no memoization and no sharing")
 		cpistack   = flag.Bool("cpistack", false, "print the top-down CPI-stack cycle accounting (base vs TVP+SpSR)")
 		workers    = flag.Int("j", 0, "concurrent simulation workers for sweeps (0 = all CPU cores); results are byte-identical at any -j")
 		cacheStats = flag.Bool("cachestats", false, "print run-cache hit/miss counters on exit")

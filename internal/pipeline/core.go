@@ -316,6 +316,9 @@ type Result struct {
 	// EnableCPIStack was called or a Probe was attached). Invariant:
 	// CPI.Total() == Stats.Cycles × CommitWidth, exactly.
 	CPI stats.CPIStack
+	// Silenced reports that the value predictor was silenced at least
+	// once, warmup included (vp.Predictor.EverSilenced).
+	Silenced bool
 }
 
 // stopCheckCycles is how often Run polls the stop check: rarely enough
@@ -391,6 +394,7 @@ func (c *Core) Run(warmup, maxInsts uint64) Result {
 		Committed: c.committed,
 		Halted:    c.haltSeen && c.robCnt == 0,
 		Stopped:   stopped,
+		Silenced:  c.vpred != nil && c.vpred.EverSilenced(),
 	}
 	if c.acct != nil {
 		res.CPI = c.acct.st

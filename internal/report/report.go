@@ -36,10 +36,12 @@ type Config struct {
 	Insts uint64
 	// Workloads restricts the suite (nil = all 28 points).
 	Workloads []string
-	// NoCache bypasses the process-wide run memoization, forcing every
-	// simulation to execute. Results are bit-identical either way (the
-	// simulator is deterministic); this exists for benchmarking the
-	// uncached path and for the cache-equivalence tests.
+	// NoCache means no memoization and no sharing: it bypasses the
+	// process-wide run cache and the silencing-base sharing of runOne,
+	// forcing every point to simulate itself. Results are bit-identical
+	// either way (the simulator is deterministic); this exists for
+	// benchmarking the uncached path and as the independent oracle of
+	// the cache-equivalence tests.
 	NoCache bool
 	// Workers bounds the number of concurrently executing simulations in
 	// a sweep (tvpreport -j). <= 0 means runtime.NumCPU() — the sweeps are
@@ -159,21 +161,38 @@ func ResetRunCache() { runCache.Reset() }
 func ResetCPICache() { ResetRunCache() }
 
 // runOne executes (or recalls) one run through the memoization layer,
-// reporting to the optional telemetry sinks. A call counts as a recall
-// exactly when its own simulate closure did not run: it found the result
-// cached or joined another call's in-flight run.
+// reporting to the optional telemetry sinks. A point whose silencing
+// base (silencingBase) ran without ever silencing the value predictor
+// shares the base's result: that run read no silencing setting, so it
+// is the point's own run (vp.Predictor.Silence, DESIGN §6 Run path). A
+// call counts as a recall exactly when no Execute ran on its behalf; a
+// base simulated on a variant's behalf counts once, as that call's
+// simulation, also when the call then simulates its own point. NoCache
+// means no memoization and no sharing.
 func (c Config) runOne(p Point) (Result, error) {
 	simulated := false
-	simulate := func() (Result, error) {
+	simulate := func(p Point) (Result, error) {
 		simulated = true
 		return Execute(context.Background(), p, Attach{})
 	}
 	var r Result
 	var err error
 	if c.NoCache {
-		r, err = simulate()
+		r, err = simulate(p)
 	} else {
-		r, err = runCache.Do(p.Key(), simulate)
+		r, err = runCache.Do(p.Key(), func() (Result, error) {
+			base, ok := silencingBase(p)
+			if !ok {
+				return simulate(p)
+			}
+			// A nested Do on another key cannot deadlock: a base is its
+			// own base, so its computation waits on no further key.
+			br, err := runCache.Do(base.Key(), func() (Result, error) { return simulate(base) })
+			if err == nil && !br.Silenced {
+				return br, nil
+			}
+			return simulate(p)
+		})
 	}
 	if err != nil {
 		return r, err
@@ -197,6 +216,20 @@ func (c Config) runOne(p Point) (Result, error) {
 		}, r.Stats, &r.CPI)
 	}
 	return r, nil
+}
+
+// silencingBase returns p with the value predictor's silencing settings
+// (VP.SilenceCycles and VP.DynamicSilence) at their defaults, and
+// whether that differs from p; a point at the defaults is its own base.
+func silencingBase(p Point) (Point, bool) {
+	def := config.Default().VP
+	if p.Cfg.VP.SilenceCycles == def.SilenceCycles && p.Cfg.VP.DynamicSilence == def.DynamicSilence {
+		return p, false
+	}
+	cf := p.Cfg.Clone()
+	cf.VP.SilenceCycles, cf.VP.DynamicSilence = def.SilenceCycles, def.DynamicSilence
+	p.Cfg = cf
+	return p, true
 }
 
 // runAll executes the points on a sweep worker Pool (Config.Workers

@@ -2,11 +2,13 @@ package report
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/obs"
 )
 
 // tiny restricts experiments to a 3-benchmark sample at short length so
@@ -265,6 +267,88 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 	if sum1 != sum2 || sum1 != sum3 {
 		t.Errorf("summaries differ: %+v / %+v / %+v", sum1, sum2, sum3)
+	}
+}
+
+// TestSilencingShareEquivalence is TestCacheEquivalence for the
+// silencing ablations, whose variants the cache answers from their
+// silencing base when the base never silenced: cached, recached and
+// NoCache results must be identical, over one member that silences at
+// this length (602_gcc_s_3, under MVP) and one that never does.
+func TestSilencingShareEquivalence(t *testing.T) {
+	type ablations struct {
+		rows           []SilencingRow
+		fixed, dynamic [3]float64
+		recs           []*obs.RunRecord
+	}
+	run := func(c Config) ablations {
+		var a ablations
+		var err error
+		c.Obs = obs.NewSweepLog()
+		if a.rows, err = AblationSilencing(c, []int{15, 250, 1000}); err != nil {
+			t.Fatal(err)
+		}
+		if a.fixed, a.dynamic, err = AblationDynamicSilence(c); err != nil {
+			t.Fatal(err)
+		}
+		a.recs = c.Obs.Records()
+		return a
+	}
+	c := tiny()
+	c.Workloads = []string{"602_gcc_s_3", "600_perlbench_s_1"}
+	ResetRunCache()
+	cached := run(c)
+	recached := run(c)
+	uncached := c
+	uncached.NoCache = true
+	passes := []ablations{cached, recached, run(uncached)}
+
+	// Records arrive in completion order: match them by point.
+	want := make(map[string]*obs.RunRecord)
+	for _, r := range cached.recs {
+		want[r.Workload+"/"+r.ConfigFP] = r
+	}
+	for i, a := range passes[1:] {
+		if !reflect.DeepEqual(a.rows, cached.rows) || a.fixed != cached.fixed || a.dynamic != cached.dynamic {
+			t.Errorf("pass %d differs from the cached pass:\n%+v %v %v\n%+v %v %v",
+				i+1, a.rows, a.fixed, a.dynamic, cached.rows, cached.fixed, cached.dynamic)
+		}
+		if len(a.recs) != len(want) {
+			t.Errorf("pass %d logged %d points, the cached pass %d", i+1, len(a.recs), len(want))
+		}
+		for _, r := range a.recs {
+			if w := want[r.Workload+"/"+r.ConfigFP]; w == nil || r.Totals != w.Totals || r.CPI != w.CPI {
+				t.Errorf("pass %d: %s %s: totals or CPI differ from the cached pass", i+1, r.Workload, r.VPMode)
+			}
+		}
+	}
+
+	// Both branches ran: the cached pass shared some variants and
+	// simulated the silenced ones, while NoCache simulated every point.
+	// Each variant is requested once per pass, so a cached variant
+	// record is a shared answer.
+	bases := map[string]bool{}
+	for _, m := range []config.VPMode{config.VPOff, config.MVP, config.TVP, config.GVP} {
+		bases[config.Default().WithVP(m).Fingerprint()] = true
+	}
+	shared, own := 0, 0
+	for _, r := range cached.recs {
+		switch {
+		case bases[r.ConfigFP]:
+		case r.Cached:
+			shared++
+		case r.Workload == "602_gcc_s_3" && r.VPMode == config.MVP.String():
+			own++
+		}
+	}
+	t.Logf("cached pass: %d variants shared, %d MVP variants of 602_gcc_s_3 simulated", shared, own)
+	if shared == 0 || own < 3 {
+		t.Errorf("cached pass shared %d variants and simulated %d MVP points of 602_gcc_s_3; want both branches", shared, own)
+	}
+	for _, r := range passes[2].recs {
+		if r.Cached {
+			t.Errorf("NoCache recalled %s %s", r.Workload, r.VPMode)
+		}
 	}
 }
 

@@ -69,6 +69,10 @@ type Result struct {
 	Cycles, Committed uint64
 	// Skipped counts the cycles absorbed by event-driven skipping.
 	Skipped uint64
+	// Silenced reports that the value predictor was silenced at least
+	// once, warmup included. An unsilenced result answers every
+	// silencing setting of its point (runOne).
+	Silenced bool
 }
 
 // Execute runs one point, uncached and unpooled: it is the one place
@@ -124,7 +128,7 @@ func Execute(ctx context.Context, p Point, a Attach) (res Result, err error) {
 	if r.Stopped {
 		return Result{}, fmt.Errorf("report: simulate %s: %w", p.Workload, ctx.Err())
 	}
-	return Result{Stats: r.Stats, CPI: r.CPI, Cycles: r.Cycles, Committed: r.Committed, Skipped: core.SkippedCycles()}, nil
+	return Result{Stats: r.Stats, CPI: r.CPI, Cycles: r.Cycles, Committed: r.Committed, Skipped: core.SkippedCycles(), Silenced: r.Silenced}, nil
 }
 
 // Simulate is Execute without attachments, returning only the counters

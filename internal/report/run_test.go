@@ -98,3 +98,36 @@ func TestRunAllCountsEachRunOnce(t *testing.T) {
 		t.Fatalf("heartbeat %q, want 2/2 runs with 1 cached", beat.String())
 	}
 }
+
+// TestRunAllCountsSharedAnswersAsRecalls: silencing windows that share
+// one unsilenced base cost one simulation. Whichever call simulates the
+// base counts it once, as its own simulation; every other call, the
+// base's own included, is a recall, also when it joins the base while it
+// is still in flight.
+func TestRunAllCountsSharedAnswersAsRecalls(t *testing.T) {
+	ResetRunCache()
+	var beat bytes.Buffer
+	c := Config{Workers: 2, Obs: obs.NewSweepLog(), Heartbeat: obs.NewHeartbeat(&beat)}
+	var pts []Point
+	for _, window := range []int{15, 250, 1000} {
+		cfg := config.Default().WithVP(config.TVP)
+		cfg.VP.SilenceCycles = window
+		pts = append(pts, Point{Workload: "648_exchange2_s", Cfg: cfg, Warmup: 1000, Insts: 10000})
+	}
+	rs, err := c.runAll(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[1].Silenced {
+		t.Fatal("the base run was silenced: pick a member that is not")
+	}
+	sw := c.Obs.Sweep(RunCacheCounters())
+	if sw.Runs != 3 || sw.CachedRuns != 2 || sw.UniquePoints != 3 || sw.SimInsts != 11000 {
+		t.Fatalf("runs %d, cached %d, records %d, siminsts %d; want 3, 2, 3 and 11000",
+			sw.Runs, sw.CachedRuns, sw.UniquePoints, sw.SimInsts)
+	}
+	c.Heartbeat.Finish()
+	if !strings.Contains(beat.String(), "3/3 runs (2 cached)") {
+		t.Fatalf("heartbeat %q, want 3/3 runs with 2 cached", beat.String())
+	}
+}

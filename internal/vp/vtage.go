@@ -59,6 +59,7 @@ type Predictor struct {
 	confMax uint8
 
 	silenceUntil uint64
+	everSilenced bool
 	allocSeed    uint64
 
 	// Dynamic silencing state (config.VPConfig.DynamicSilence).
@@ -302,7 +303,15 @@ const (
 // dynamic silencing it doubles per misprediction (bounded) and decays as
 // correct predictions accumulate, approximating the adaptive scheme the
 // paper proposes.
+//
+// Silence is the only reader of SilenceCycles and the only writer of the
+// state Silenced, decaySilence and the dynamic window consult
+// (silenceUntil, silWindow, correctStreak); decaySilence returns early
+// while silWindow is 0. Until the first Silence call, then, a predictor
+// behaves identically under every SilenceCycles and DynamicSilence
+// setting, and EverSilenced reports whether that call happened.
 func (p *Predictor) Silence(now uint64) {
+	p.everSilenced = true
 	window := p.cfg.SilenceCycles
 	if p.cfg.DynamicSilence {
 		if p.silWindow == 0 {
@@ -343,6 +352,9 @@ func (p *Predictor) decaySilence() {
 // Silenced reports whether predictions must not be used at the given
 // cycle. Training continues regardless.
 func (p *Predictor) Silenced(now uint64) bool { return now < p.silenceUntil }
+
+// EverSilenced reports whether Silence has ever run on this predictor.
+func (p *Predictor) EverSilenced() bool { return p.everSilenced }
 
 // PredBits returns the per-entry prediction width for the targeting mode
 // (§3.3: 64, 9 or 1).

@@ -2,10 +2,12 @@ package vp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/config"
+	"repro/internal/xrand"
 )
 
 // vtage pairs a Predictor with the History that hashes for it, the way
@@ -152,6 +154,75 @@ func TestSilencing(t *testing.T) {
 	p.Silence(500)
 	if !p.Silenced(2000 + uint64(config.Default().VP.SilenceCycles) - 1) {
 		t.Error("silence must extend to the latest window")
+	}
+}
+
+// TestSilencingSettingsInertUntilSilence: predictors that differ only in
+// SilenceCycles and DynamicSilence, driven through the same Predict and
+// Train sequence without a Silence call, give the same lookups and end in
+// the same state, never silenced. One Silence call then separates their
+// windows. This is the predictor half of the proof behind report's
+// silencing-base sharing (DESIGN §6).
+func TestSilencingSettingsInertUntilSilence(t *testing.T) {
+	var ps []vtage
+	for _, set := range []func(*config.VPConfig){
+		func(*config.VPConfig) {},
+		func(v *config.VPConfig) { v.SilenceCycles = 15 },
+		func(v *config.VPConfig) { v.SilenceCycles = 1000 },
+		func(v *config.VPConfig) { v.SilenceCycles, v.DynamicSilence = 60, true },
+	} {
+		cfg := config.Default().VP
+		cfg.Mode = config.GVP
+		set(&cfg)
+		ps = append(ps, newVTAGE(cfg))
+	}
+	rng := xrand.New(7)
+	for i := uint64(0); i < 50_000; i++ {
+		pc := 0x400000 + rng.Uint64n(48)*4
+		v := pc >> 2 & 3
+		if rng.OneIn(5) {
+			v = rng.Uint64n(1024)
+		}
+		taken := rng.OneIn(3)
+		var first Lookup
+		for k, p := range ps {
+			if i%4 == 0 {
+				p.hist.Push(taken)
+			}
+			l := predict(p, pc)
+			if k == 0 {
+				first = *l
+			} else if *l != first {
+				t.Fatalf("step %d: predictor %d looked up %+v, predictor 0 %+v", i, k, *l, first)
+			}
+			p.Train(l, v)
+			if p.Silenced(i) || p.EverSilenced() {
+				t.Fatalf("step %d: predictor %d silenced without a Silence call", i, k)
+			}
+		}
+	}
+	state := func(p vtage) Predictor {
+		s := *p.Predictor
+		s.cfg = config.VPConfig{}
+		return s
+	}
+	for k := 1; k < len(ps); k++ {
+		if !reflect.DeepEqual(state(ps[k]), state(ps[0])) {
+			t.Errorf("predictor %d ended in another state than predictor 0", k)
+		}
+	}
+
+	const now = 1_000_000
+	for k, p := range ps {
+		p.Silence(now)
+		if !p.EverSilenced() {
+			t.Errorf("predictor %d: EverSilenced false after Silence", k)
+		}
+	}
+	for k, window := range []uint64{250, 15, 1000, 60} {
+		if p := ps[k]; !p.Silenced(now+window-1) || p.Silenced(now+window) {
+			t.Errorf("predictor %d: silenced window is not %d cycles", k, window)
+		}
 	}
 }
 

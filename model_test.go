@@ -151,3 +151,71 @@ func TestModelGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestSilencingInsensitivity is the oracle behind report's silencing-base
+// sharing (DESIGN §6): a run whose value predictor is never silenced
+// reads no silencing setting, so every suite member × VP flavor gives
+// bit-identical results under the default silencing, 15 and 1000 cycles,
+// dynamic silencing and a window longer than the run whenever the
+// default run is unsilenced; and the runs of a group agree on whether
+// they were silenced. No suite member uses a prediction within its first
+// 1000 cycles, so only the long window exposes a read of SilenceCycles
+// before the first Silence call. Both branches must run: the test fails
+// unless some groups silence and some do not.
+func TestSilencingInsensitivity(t *testing.T) {
+	const warmup, insts = 1000, 20000
+	variants := []func(*config.VPConfig){
+		func(*config.VPConfig) {},
+		func(v *config.VPConfig) { v.SilenceCycles = 15 },
+		func(v *config.VPConfig) { v.SilenceCycles = 1000 },
+		func(v *config.VPConfig) { v.DynamicSilence = true },
+		func(v *config.VPConfig) { v.SilenceCycles = 1 << 20 },
+	}
+	var ids []string
+	var pts []report.Point
+	for _, w := range workload.Names() {
+		for _, vp := range []string{"mvp", "tvp", "gvp"} {
+			mode, err := config.ParseVPMode(vp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, w+"/"+vp)
+			for _, set := range variants {
+				cfg := config.Default().WithVP(mode)
+				set(&cfg.VP)
+				pts = append(pts, report.Point{Workload: w, Cfg: cfg, Warmup: warmup, Insts: insts})
+			}
+		}
+	}
+	rs := make([]report.Result, len(pts))
+	errs := make([]error, len(pts))
+	report.Each(0, len(pts), func(i int) {
+		rs[i], errs[i] = report.Execute(context.Background(), pts[i], report.Attach{})
+	})
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	silenced := 0
+	for g, id := range ids {
+		group := rs[g*len(variants) : (g+1)*len(variants)]
+		for k, r := range group[1:] {
+			if r.Silenced != group[0].Silenced {
+				t.Errorf("%s: variant %d silenced=%t, default silenced=%t", id, k+1, r.Silenced, group[0].Silenced)
+			}
+		}
+		if group[0].Silenced {
+			silenced++
+			continue
+		}
+		for k, r := range group[1:] {
+			if d := group[0]; r != d {
+				t.Errorf("%s: unsilenced, but variant %d differs from the default: %d cycles, %d used and %d silenced predictions; default %d, %d and %d",
+					id, k+1, r.Cycles, r.Stats.VPCorrectUsed, r.Stats.VPSilenced, d.Cycles, d.Stats.VPCorrectUsed, d.Stats.VPSilenced)
+			}
+		}
+	}
+	t.Logf("%d of %d groups silenced", silenced, len(ids))
+	if silenced == 0 || silenced == len(ids) {
+		t.Fatalf("%d of %d groups silenced: both branches must run", silenced, len(ids))
+	}
+}
