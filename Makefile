@@ -86,12 +86,13 @@ build:
 	$(GO) build ./...
 
 # The run cache, the report fan-out, the telemetry sampler, the
-# daemon's two-tier store, and each core's run-ahead producer goroutine
-# are the concurrency hot spots: keep them race-clean at the short test
-# length. The pipeline's full suite is slow under -race, so only the
-# producer's own tests run there.
+# daemon's two-tier store, concurrent restores of one emulator snapshot,
+# and each core's run-ahead producer goroutine are the concurrency hot
+# spots: keep them race-clean at the short test length. The pipeline's
+# full suite is slow under -race, so only the producer's own tests run
+# there.
 race:
-	$(GO) test -race ./internal/simcache ./internal/report ./internal/obs ./internal/serve ./internal/store
+	$(GO) test -race ./internal/simcache ./internal/report ./internal/obs ./internal/serve ./internal/store ./internal/emu
 	$(GO) test -race ./internal/pipeline -run '^TestRunAhead'
 
 test:
@@ -105,8 +106,12 @@ bench:
 # not exceed the recorded ceiling, see BENCH_PR1.json / BENCH_PR2.json),
 # and per-workload throughput may not fall under either MIPS floor (see
 # BENCH_PR9.json and the BENCH_GUARD_MIPS notes above).
+# The benchmark output is echoed line by line to the inherited stderr
+# descriptor: reopening stderr by path (tee /dev/stderr) would truncate
+# a log that make's stderr is redirected to.
 bench-guard:
-	@out=$$($(GO) test -bench='^BenchmarkSimThroughput(LowIPC)?$$' -benchmem -benchtime 30x -run='^$$' . | tee /dev/stderr); \
+	@out=$$($(GO) test -bench='^BenchmarkSimThroughput(LowIPC)?$$' -benchmem -benchtime 30x -run='^$$' . | \
+		while IFS= read -r line; do printf '%s\n' "$$line" >&2; printf '%s\n' "$$line"; done); \
 	allocs=$$(printf '%s\n' "$$out" | awk '$$1 ~ /^BenchmarkSimThroughput(-[0-9]+)?$$/ { for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") print $$i }'); \
 	mips=$$(printf '%s\n' "$$out" | awk '$$1 ~ /^BenchmarkSimThroughput(-[0-9]+)?$$/ { for (i=1; i<NF; i++) if ($$(i+1) == "MIPS") print $$i }'); \
 	lowmips=$$(printf '%s\n' "$$out" | awk '$$1 ~ /^BenchmarkSimThroughputLowIPC(-[0-9]+)?$$/ { for (i=1; i<NF; i++) if ($$(i+1) == "MIPS") print $$i }'); \

@@ -234,7 +234,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		insts += res.TotalInsts
+		insts += res.Committed
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "MIPS")
 }
@@ -253,7 +253,7 @@ func BenchmarkSimThroughputLowIPC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		insts += res.TotalInsts
+		insts += res.Committed
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "MIPS")
 }
@@ -294,7 +294,7 @@ func BenchmarkSimulatorThroughputVP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		insts += res.TotalInsts
+		insts += res.Committed
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "MIPS")
 }

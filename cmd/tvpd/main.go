@@ -36,7 +36,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:8344", "listen address (host:port; port 0 picks a free port)")
 	storeDir := flag.String("store-dir", "", "persistent result store directory (empty: memory-only)")
-	workers := flag.Int("j", 0, "simulation worker pool size (0: GOMAXPROCS)")
+	workers := flag.Int("j", 0, "simulation worker pool size (0: NumCPU)")
 	queue := flag.Int("queue", 64, "bounded job queue depth; full queue applies backpressure")
 	drain := flag.Duration("drain", 30*time.Second, "grace period for in-flight requests on shutdown")
 	flag.Parse()

@@ -102,7 +102,14 @@ func main() {
 		for v, c := range counts {
 			vs = append(vs, vc{v, c})
 		}
-		sort.Slice(vs, func(i, j int) bool { return vs[i].c > vs[j].c })
+		// Descending by count, value as the tie-break so the list does
+		// not depend on map-iteration order.
+		sort.Slice(vs, func(i, j int) bool {
+			if vs[i].c != vs[j].c {
+				return vs[i].c > vs[j].c
+			}
+			return vs[i].v < vs[j].v
+		})
 		if len(vs) > 20 {
 			vs = vs[:20]
 		}

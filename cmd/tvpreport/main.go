@@ -82,12 +82,11 @@ func main() {
 		fatal(fmt.Errorf("-j %d out of range (want >= 0)", *workers))
 	}
 	cfg := report.Config{Warmup: *warm, Insts: *insts, NoCache: *nocache, Workers: *workers}
-	if *progress {
-		cfg.Heartbeat = obs.NewHeartbeat(os.Stderr)
-		cfg.Heartbeat.SetWorkers(cfg.EffectiveWorkers())
-	}
-	if *jsonDir != "" {
+	if *progress || *jsonDir != "" {
 		cfg.Obs = obs.NewSweepLog()
+	}
+	if *progress {
+		cfg.Obs.Progress(os.Stderr, cfg.EffectiveWorkers())
 	}
 	w := os.Stdout
 	all := *fig == 0 && *table == 0 && !*storage && !*cpistack && *ablation == ""
@@ -211,10 +210,10 @@ func main() {
 		fmt.Fprintln(w)
 	}
 
-	if cfg.Heartbeat != nil {
-		cfg.Heartbeat.Finish()
-	}
 	if cfg.Obs != nil {
+		cfg.Obs.Finish()
+	}
+	if *jsonDir != "" {
 		hits, misses := report.RunCacheCounters()
 		if err := cfg.Obs.WriteDir(*jsonDir, hits, misses); err != nil {
 			fatal(err)

@@ -211,7 +211,7 @@ func runLoad(path string, mode tvp.VPMode, spsr bool, warm, insts uint64) int {
 	e := emu.New(p)
 	e.Run(warm+insts, nil)
 	printHeader()
-	printRow(r.Workload, &r.Stats)
+	printRow(p.Name, &r.Stats)
 	fmt.Printf("archhash %#016x over %d functionally executed instructions\n",
 		e.ArchHash(), e.Executed())
 	return 0
@@ -366,9 +366,9 @@ func main() {
 			continue
 		}
 		if *cpistk {
-			printCPIRow(&r)
+			printCPIRow(names[i], &r)
 		} else {
-			printRow(r.Workload, &r.Stats)
+			printRow(names[i], &r.Stats)
 		}
 	}
 }
@@ -389,8 +389,8 @@ func printCPIHeader() {
 	fmt.Println()
 }
 
-func printCPIRow(r *tvp.Result) {
-	fmt.Printf("%-22s %8.3f", r.Workload, r.Stats.IPC())
+func printCPIRow(name string, r *tvp.Result) {
+	fmt.Printf("%-22s %8.3f", name, r.Stats.IPC())
 	total := float64(r.CPI.Total())
 	for _, b := range r.CPI.Buckets() {
 		p := 0.0

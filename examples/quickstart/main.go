@@ -13,8 +13,9 @@ import (
 )
 
 func main() {
+	const name = "602_gcc_s_2"
 	base, err := tvp.Run(tvp.Options{
-		Workload: "602_gcc_s_2",
+		Workload: name,
 		Warmup:   20_000,
 		MaxInsts: 150_000,
 	})
@@ -23,7 +24,7 @@ func main() {
 	}
 
 	res, err := tvp.Run(tvp.Options{
-		Workload: "602_gcc_s_2",
+		Workload: name,
 		VP:       tvp.TVP, // 9-bit targeted value prediction (§3.2)
 		SpSR:     true,    // speculative strength reduction (§4)
 		Warmup:   20_000,
@@ -34,7 +35,7 @@ func main() {
 	}
 
 	st := &res.Stats
-	fmt.Printf("workload            %s\n", res.Workload)
+	fmt.Printf("workload            %s\n", name)
 	fmt.Printf("baseline IPC        %.3f\n", base.Stats.IPC())
 	fmt.Printf("TVP+SpSR IPC        %.3f  (%+.2f%%)\n",
 		st.IPC(), (st.IPC()/base.Stats.IPC()-1)*100)

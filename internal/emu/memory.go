@@ -15,22 +15,15 @@ const (
 )
 
 // Memory is a sparse, paged, little-endian byte-addressable memory.
-// Unmapped reads return zero; writes allocate pages on demand.
-//
-// Pages may be shared copy-on-write with snapshots (see Emulator.Snapshot):
-// a page listed in cow is backed by an array some snapshot also references,
-// and is copied privately before the first write. A one-entry translation
-// cache (lastRead/lastWrite) short-circuits the page-map lookup for the
-// common case of consecutive accesses hitting the same 4KB page.
+// Unmapped reads return zero; writes allocate pages on demand. A
+// one-entry translation cache (lastRead/lastWrite) short-circuits the
+// page-map lookup for the common case of consecutive accesses hitting
+// the same 4KB page.
 type Memory struct {
 	pages map[uint64]*[pageSize]byte
-	// cow marks page numbers whose backing array is shared with one or
-	// more snapshots; nil when no snapshot has been taken.
-	cow map[uint64]struct{}
 
 	// Last-page translation caches. A cache holds pn+1 so the zero value
-	// is invalid (page number 0 is addressable). lastWrite is only ever a
-	// privately owned page; lastRead may be a shared one.
+	// is invalid (page number 0 is addressable).
 	lastReadPN  uint64
 	lastRead    *[pageSize]byte
 	lastWritePN uint64
@@ -59,8 +52,8 @@ func (m *Memory) readPage(addr uint64) *[pageSize]byte {
 	return p
 }
 
-// writePage returns a privately owned page containing addr, allocating or
-// copying a snapshot-shared page as needed.
+// writePage returns the page containing addr, allocating it on first
+// touch.
 //
 //tvp:hotpath
 func (m *Memory) writePage(addr uint64) *[pageSize]byte {
@@ -73,28 +66,12 @@ func (m *Memory) writePage(addr uint64) *[pageSize]byte {
 		//tvplint:ignore hotpathalloc first-touch page fault: one allocation per 4KB page mapped, amortized over thousands of stores
 		p = new([pageSize]byte)
 		m.pages[pn] = p
-	} else if m.cow != nil {
-		if _, shared := m.cow[pn]; shared {
-			//tvplint:ignore hotpathalloc COW break: one copy per shared page per restored checkpoint, amortized over the whole run
-			priv := new([pageSize]byte)
-			*priv = *p
-			m.pages[pn] = priv
-			delete(m.cow, pn)
-			p = priv
-		}
 	}
 	m.lastWritePN = pn + 1
 	m.lastWrite = p
 	m.lastReadPN = pn + 1
 	m.lastRead = p
 	return p
-}
-
-// invalidateCache drops the translation caches (called when page
-// ownership changes, e.g. on snapshot).
-func (m *Memory) invalidateCache() {
-	m.lastReadPN, m.lastRead = 0, nil
-	m.lastWritePN, m.lastWrite = 0, nil
 }
 
 // LoadByte returns the byte at addr.
@@ -186,32 +163,13 @@ func (m *Memory) LoadSegment(base uint64, data []byte) {
 // PageCount returns the number of mapped 4KB pages (the resident footprint).
 func (m *Memory) PageCount() int { return len(m.pages) }
 
-// share freezes the current page set for snapshotting: it returns a copy
-// of the page table and marks every page copy-on-write so neither the
-// live memory nor any restored memory can mutate the shared arrays.
-func (m *Memory) share() map[uint64]*[pageSize]byte {
-	frozen := make(map[uint64]*[pageSize]byte, len(m.pages))
-	if m.cow == nil {
-		m.cow = make(map[uint64]struct{}, len(m.pages))
-	}
+// clone returns a deep copy of the memory: every mapped page is copied,
+// so neither copy ever sees the other's writes.
+func (m *Memory) clone() *Memory {
+	c := &Memory{pages: make(map[uint64]*[pageSize]byte, len(m.pages))}
 	for pn, p := range m.pages {
-		frozen[pn] = p
-		m.cow[pn] = struct{}{}
+		cp := *p
+		c.pages[pn] = &cp
 	}
-	m.invalidateCache()
-	return frozen
-}
-
-// memoryFromShared builds a Memory over a frozen page set; every page
-// starts copy-on-write.
-func memoryFromShared(frozen map[uint64]*[pageSize]byte) *Memory {
-	m := &Memory{
-		pages: make(map[uint64]*[pageSize]byte, len(frozen)),
-		cow:   make(map[uint64]struct{}, len(frozen)),
-	}
-	for pn, p := range frozen {
-		m.pages[pn] = p
-		m.cow[pn] = struct{}{}
-	}
-	return m
+	return c
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,36 +140,66 @@ func TestTopPCAddWeighted(t *testing.T) {
 	}
 }
 
-// TestHeartbeatCPILine: RunDoneStats aggregates skip % and the top
-// CPI-stack bucket into the progress line; a run without cycles or a
-// stack leaves both out.
+// TestHeartbeatCPILine: a sweep log's progress line aggregates the skip
+// % and the top CPI-stack bucket over simulated runs; recalls add
+// nothing, and runs without skipped cycles or a stack leave both out.
 func TestHeartbeatCPILine(t *testing.T) {
 	var buf bytes.Buffer
-	h := NewHeartbeat(&buf)
-	h.AddPlanned(2)
-	h.SetWorkers(4)
-	cpi := stats.CPIStack{Retiring: 10, BackendMemory: 90}
-	h.RunDoneStats(1000, false, 2000, 500, &cpi)
-	cpi2 := stats.CPIStack{Retiring: 10, BackendMemory: 20}
-	h.RunDoneStats(1000, false, 2000, 500, &cpi2)
-	h.Finish()
-	line := buf.String()
+	meta := func(w string) RunMeta { return RunMeta{Workload: w, Cfg: config.Default(), Warmup: 500, Insts: 500} }
+	l := NewSweepLog()
+	l.Progress(&buf, 4)
+	slots := l.AddPlanned([]RunMeta{meta("a"), meta("b"), meta("a")})
+	l.Add(slots[0], false, &pipeline.Result{Cycles: 2000, Skipped: 500, CPI: stats.CPIStack{Retiring: 10, BackendMemory: 90}})
+	l.Add(slots[1], false, &pipeline.Result{Cycles: 2000, Skipped: 500, CPI: stats.CPIStack{Retiring: 10, BackendMemory: 20}})
+	l.Add(slots[2], true, &pipeline.Result{Cycles: 2000, Skipped: 2000, CPI: stats.CPIStack{Retiring: 1000}})
+	l.Finish()
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	line := lines[len(lines)-1]
+	if !strings.HasPrefix(line, "obs[j4]: 3/3 runs (1 cached) | ") {
+		t.Errorf("final line %q, want the worker tag and 3/3 runs with 1 cached", line)
+	}
 	if !strings.Contains(line, "skip 25.0%") {
 		t.Errorf("line missing aggregated skip %% (1000/4000): %q", line)
 	}
 	if !strings.Contains(line, "top be-mem") {
 		t.Errorf("line missing top bucket: %q", line)
 	}
-	if !strings.Contains(line, "obs[j4]") {
-		t.Errorf("line missing worker tag: %q", line)
-	}
 
 	buf.Reset()
-	h2 := NewHeartbeat(&buf)
-	h2.AddPlanned(1)
-	h2.RunDoneStats(500, false, 0, 0, nil)
-	h2.Finish()
+	l2 := NewSweepLog()
+	l2.Progress(&buf, 1)
+	l2.Add(l2.AddPlanned([]RunMeta{meta("a")})[0], false, &pipeline.Result{})
+	l2.Finish()
 	if line := buf.String(); strings.Contains(line, "skip") || strings.Contains(line, "top ") {
-		t.Errorf("CPI-less heartbeat grew CPI fields: %q", line)
+		t.Errorf("CPI-less progress line grew CPI fields: %q", line)
+	}
+}
+
+// TestSweepLogSilentWithoutProgress: a log whose progress line was never
+// turned on writes nothing anywhere, also at Finish, and still counts.
+func TestSweepLogSilentWithoutProgress(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = w, w
+	l := NewSweepLog()
+	slots := l.AddPlanned([]RunMeta{{Workload: "a", Cfg: config.Default(), Warmup: 1, Insts: 2}})
+	res := &pipeline.Result{Cycles: 10, Skipped: 5, CPI: stats.CPIStack{Retiring: 40}}
+	l.Add(slots[0], false, res)
+	l.Add(slots[0], true, res)
+	l.Finish()
+	os.Stdout, os.Stderr = stdout, stderr
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 0 {
+		t.Errorf("a log without a progress line wrote %q", out)
+	}
+	if sw := l.Sweep(0, 0); sw.Runs != 2 || sw.CachedRuns != 1 || sw.SimInsts != 3 {
+		t.Errorf("sweep counters %+v, want 2 runs, 1 cached, 3 simulated instructions", sw)
 	}
 }

@@ -3,116 +3,92 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
 
-// Heartbeat prints a throttled one-line progress report for long sweeps:
-// runs done/planned, how many the memoization cache absorbed, realized
-// simulation MIPS and an ETA extrapolated from per-run wall time. It is
-// concurrency-safe; tvpreport's worker pool reports into one Heartbeat.
-type Heartbeat struct {
-	mu        sync.Mutex
+// progress is a SweepLog's throttled one-line progress report: runs
+// done/planned, how many the memoization cache absorbed, realized
+// simulation MIPS, the skipped-cycle share, the top CPI bucket, and an
+// ETA extrapolated from per-run wall time. It is off while w is nil.
+type progress struct {
 	w         io.Writer
-	start     time.Time
-	lastPrint time.Time
-	period    time.Duration
-	planned   int
-	done      int
-	cached    int
 	workers   int
-	simInsts  uint64
-	// Cycle accounting across finished runs (RunDoneStats): skipped vs
-	// total simulated cycles for the skip-% readout, and the summed CPI
-	// stack for the top-bucket readout. Plain sums under the heartbeat
-	// mutex, so the aggregate is exact for any number of workers.
+	lastPrint time.Time
+	// Cycle accounting across simulated runs: skipped vs total cycles
+	// for the skip-% readout, and the summed CPI stack for the top-bucket
+	// readout. Plain sums under the log's mutex, so the aggregate is
+	// exact for any number of workers. Recalls add nothing: the line
+	// reports what was actually simulated.
 	cycles  uint64
 	skipped uint64
 	cpi     stats.CPIStack
 }
 
-// NewHeartbeat returns a Heartbeat writing to w (normally os.Stderr so
-// progress never pollutes machine-readable stdout), printing at most
-// once per second.
-func NewHeartbeat(w io.Writer) *Heartbeat {
-	return &Heartbeat{w: w, start: time.Now(), period: time.Second}
+// progressPeriod is the shortest time between two progress lines.
+const progressPeriod = time.Second
+
+// Progress turns the progress line on. It goes to w (normally os.Stderr,
+// so progress never pollutes machine-readable stdout), tagged with the
+// sweep pool width. MIPS and ETA are aggregates over wall time and run
+// counts, so they are correct for any number of concurrent workers (and
+// under cycle skipping, since progress is measured in simulated
+// instructions, never cycles).
+func (l *SweepLog) Progress(w io.Writer, workers int) {
+	l.mu.Lock()
+	l.progress.w, l.progress.workers = w, workers
+	l.mu.Unlock()
 }
 
-// AddPlanned grows the denominator before (or while) runs execute.
-func (h *Heartbeat) AddPlanned(n int) {
-	h.mu.Lock()
-	h.planned += n
-	h.mu.Unlock()
-}
-
-// SetWorkers records the sweep pool width for the progress line. Purely
-// informational: MIPS and ETA are aggregates over wall time and run
-// counts, so they are already correct for any number of concurrent
-// workers (and under cycle skipping, since progress is measured in
-// simulated instructions, never cycles).
-func (h *Heartbeat) SetWorkers(n int) {
-	h.mu.Lock()
-	h.workers = n
-	h.mu.Unlock()
-}
-
-// RunDoneStats records one finished run. simInsts is how many
-// instructions were actually simulated for it (0 for a cache recall);
-// cached marks a memoized point. cycles/skipped feed the skipped-cycle
-// percentage and cpi (nil when the run carried no CPI accounting) feeds
-// the running top-bucket readout. Cached recalls pass zeros — the line
-// reports what was actually simulated. A line is printed if the
-// throttle period has elapsed.
-func (h *Heartbeat) RunDoneStats(simInsts uint64, cached bool, cycles, skipped uint64, cpi *stats.CPIStack) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.done++
-	h.simInsts += simInsts
-	h.cycles += cycles
-	h.skipped += skipped
-	if cpi != nil {
-		h.cpi.AddCPI(cpi)
+// beat folds one finished run into the progress line and prints the line
+// if the throttle period has elapsed. l.mu is held.
+func (l *SweepLog) beat(cached bool, r *pipeline.Result) {
+	p := &l.progress
+	if p.w == nil {
+		return
 	}
-	if cached {
-		h.cached++
+	if !cached {
+		p.cycles += r.Cycles
+		p.skipped += r.Skipped
+		p.cpi.AddCPI(&r.CPI)
 	}
-	if now := time.Now(); now.Sub(h.lastPrint) >= h.period {
-		h.print(now)
+	if now := time.Now(); now.Sub(p.lastPrint) >= progressPeriod {
+		l.print(now)
 	}
 }
 
-// Finish prints a final unconditional line (total wall time, no ETA).
-func (h *Heartbeat) Finish() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.print(time.Now())
+// Finish prints a final unconditional progress line (total wall time, no
+// ETA) if the line is on.
+func (l *SweepLog) Finish() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.progress.w != nil {
+		l.print(time.Now())
+	}
 }
 
-// print assumes h.mu is held.
-func (h *Heartbeat) print(now time.Time) {
-	h.lastPrint = now
-	elapsed := now.Sub(h.start)
+// print writes the progress line. l.mu is held.
+func (l *SweepLog) print(now time.Time) {
+	p := &l.progress
+	p.lastPrint = now
+	elapsed := now.Sub(l.start)
 	mips := 0.0
 	if s := elapsed.Seconds(); s > 0 {
-		mips = float64(h.simInsts) / s / 1e6
+		mips = float64(l.simInsts) / s / 1e6
 	}
-	line := fmt.Sprintf("obs: %d/%d runs (%d cached) | %.1f MIPS | %.1fs elapsed",
-		h.done, h.planned, h.cached, mips, elapsed.Seconds())
-	if h.workers > 0 {
-		line = fmt.Sprintf("obs[j%d]: %d/%d runs (%d cached) | %.1f MIPS | %.1fs elapsed",
-			h.workers, h.done, h.planned, h.cached, mips, elapsed.Seconds())
+	line := fmt.Sprintf("obs[j%d]: %d/%d runs (%d cached) | %.1f MIPS | %.1fs elapsed",
+		p.workers, l.runs, l.planned, l.cached, mips, elapsed.Seconds())
+	if p.cycles > 0 {
+		line += fmt.Sprintf(" | skip %.1f%%", 100*float64(p.skipped)/float64(p.cycles))
 	}
-	if h.cycles > 0 {
-		line += fmt.Sprintf(" | skip %.1f%%", 100*float64(h.skipped)/float64(h.cycles))
-	}
-	if top := h.cpi.Top(); top.Slots > 0 {
+	if top := p.cpi.Top(); top.Slots > 0 {
 		line += " | top " + top.Name
 	}
-	if h.done > 0 && h.done < h.planned {
-		eta := time.Duration(float64(elapsed) / float64(h.done) * float64(h.planned-h.done))
+	if l.runs > 0 && l.runs < l.planned {
+		eta := time.Duration(float64(elapsed) / float64(l.runs) * float64(l.planned-l.runs))
 		line += fmt.Sprintf(" | eta %ds", int(eta.Seconds()+0.5))
 	}
-	fmt.Fprintln(h.w, line)
+	fmt.Fprintln(p.w, line)
 }

@@ -15,8 +15,9 @@
 //     pipeline.Tracer implementation next to the human-only Pipeview;
 //   - machine-readable records: RunRecord and SweepRecord are versioned
 //     JSON schemas dumping full counters, the machine-configuration
-//     fingerprint, the interval series and the attribution tables, plus a
-//     live Heartbeat for long tvpreport sweeps.
+//     fingerprint, the interval series and the attribution tables; a
+//     SweepLog collects a tvpreport sweep's records and can print a live
+//     progress line from the same counts.
 //
 // Telemetry is pure observation: a Telemetry attached through the
 // pipeline.Probe seam never changes simulated timing, and with no probe

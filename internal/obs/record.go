@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
 
@@ -61,9 +62,6 @@ type RunMeta struct {
 	// SpSR setting are embedded in the record.
 	Cfg           *config.Machine
 	Warmup, Insts uint64
-	// Cached marks a point recalled from the run memoization cache
-	// rather than simulated (tvpreport sweeps).
-	Cached bool
 }
 
 // RunRecord is the versioned machine-readable result of one simulation
@@ -78,7 +76,9 @@ type RunRecord struct {
 	SpSR     bool   `json:"spsr"`
 	Warmup   uint64 `json:"warmup"`
 	Insts    uint64 `json:"insts"`
-	Cached   bool   `json:"cached,omitempty"`
+	// Cached marks a tvpreport sweep point recalled from the run
+	// memoization cache at least once (SweepLog.Add).
+	Cached bool `json:"cached,omitempty"`
 
 	Summary Summary   `json:"summary"`
 	Totals  stats.Sim `json:"totals"`
@@ -95,15 +95,14 @@ type RunRecord struct {
 }
 
 // NewRunRecord builds a totals-only record (no intervals/attribution) —
-// the shape tvpreport emits for memoized sweep points. Telemetry.Record
-// builds the fully instrumented shape.
+// the shape tvpreport emits for sweep points. Telemetry.Record builds the
+// fully instrumented shape.
 func NewRunRecord(meta RunMeta, totals stats.Sim) *RunRecord {
 	rec := &RunRecord{
 		Schema:   RunSchema,
 		Workload: meta.Workload,
 		Warmup:   meta.Warmup,
 		Insts:    meta.Insts,
-		Cached:   meta.Cached,
 		Summary:  Summarize(&totals),
 		Totals:   totals,
 	}
@@ -133,18 +132,24 @@ type SweepRecord struct {
 	SimulatedMIPS float64 `json:"simulated_mips"`
 }
 
-// SweepLog collects one RunRecord per unique simulation point touched by
-// a sweep, concurrency-safe (tvpreport fans runs out across GOMAXPROCS).
+// SweepLog observes one tvpreport sweep. It keeps one RunRecord per
+// unique simulation point, numbered in the order the sweep plans its
+// points, and counts runs, recalls and simulated instructions for the
+// SweepRecord; once Progress turns it on, it also prints a throttled
+// progress line from the same counts (heartbeat.go). It is
+// concurrency-safe: the sweep's workers all report into one log.
 type SweepLog struct {
 	mu       sync.Mutex
 	start    time.Time
 	byKey    map[sweepKey]int // index into records
-	records  []*RunRecord
+	records  []*RunRecord     // one per unique point, in plan order
+	planned  int
 	runs     int
 	cached   int
 	simInsts uint64
 	warmup   uint64
 	insts    uint64
+	progress progress
 }
 
 type sweepKey struct {
@@ -154,45 +159,60 @@ type sweepKey struct {
 	insts    uint64
 }
 
-// NewSweepLog returns an empty log; the sweep wall clock starts now.
+// NewSweepLog returns an empty log with its progress line off; the sweep
+// wall clock starts now.
 func NewSweepLog() *SweepLog {
 	//tvplint:ignore nondet sweep wall-clock is host-side throughput metadata (WallSeconds/MIPS), not simulated state
 	return &SweepLog{start: time.Now(), byKey: make(map[sweepKey]int)}
 }
 
-// AddCPI records one completed run and its CPI stack (nil when the run
-// carried no accounting). Duplicate points (repeated across figures)
-// update the run counters but keep a single record, marked Cached if any
-// occurrence was a cache recall.
-func (l *SweepLog) AddCPI(meta RunMeta, totals stats.Sim, cpi *stats.CPIStack) {
-	key := sweepKey{workload: meta.Workload, warmup: meta.Warmup, insts: meta.Insts}
-	if meta.Cfg != nil {
-		key.fp = meta.Cfg.Fingerprint()
-	}
+// AddPlanned registers the runs a sweep is about to make, in the order
+// it plans them, and returns each run's slot for Add. A point planned
+// before keeps its first slot, so records number in plan order however
+// the runs finish; each planned run's configuration fingerprint is
+// computed here, once.
+func (l *SweepLog) AddPlanned(metas []RunMeta) []int {
+	slots := make([]int, len(metas))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.runs++
-	l.warmup, l.insts = meta.Warmup, meta.Insts
-	if meta.Cached {
-		l.cached++
-	} else {
-		l.simInsts += meta.Warmup + meta.Insts
-	}
-	if i, ok := l.byKey[key]; ok {
-		if meta.Cached {
-			l.records[i].Cached = true
+	l.planned += len(metas)
+	for i, meta := range metas {
+		rec := NewRunRecord(meta, stats.Sim{})
+		key := sweepKey{workload: rec.Workload, fp: rec.ConfigFP, warmup: rec.Warmup, insts: rec.Insts}
+		slot, ok := l.byKey[key]
+		if !ok {
+			slot = len(l.records)
+			l.byKey[key] = slot
+			l.records = append(l.records, rec)
 		}
-		return
+		slots[i] = slot
 	}
-	l.byKey[key] = len(l.records)
-	rec := NewRunRecord(meta, totals)
-	if cpi != nil {
-		rec.CPI = *cpi
-	}
-	l.records = append(l.records, rec)
+	return slots
 }
 
-// Records returns the collected run records in first-seen order.
+// Add records one finished run of the point in slot (AddPlanned) and
+// fills the point's record from it; every run of one point gives the
+// same result. A recall (cached) marks the record cached and adds no
+// simulated instructions; points repeated across figures update the run
+// counters but keep their single record.
+func (l *SweepLog) Add(slot int, cached bool, r *pipeline.Result) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rec := l.records[slot]
+	rec.Summary, rec.Totals, rec.CPI = Summarize(&r.Stats), r.Stats, r.CPI
+	l.runs++
+	l.warmup, l.insts = rec.Warmup, rec.Insts
+	if cached {
+		l.cached++
+		rec.Cached = true
+	} else {
+		l.simInsts += rec.Warmup + rec.Insts
+	}
+	l.beat(cached, r)
+}
+
+// Records returns one record per planned point, in plan order; a
+// point's record holds its result once a run of it has finished.
 func (l *SweepLog) Records() []*RunRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -225,8 +245,8 @@ func (l *SweepLog) Sweep(cacheHits, cacheMisses uint64) SweepRecord {
 
 // WriteDir writes one JSON file per run record plus sweep.json into dir
 // (created if absent). File names are ordinal_workload_fp12.json so a
-// directory listing reads in sweep order and points stay distinguishable
-// across configurations.
+// directory listing reads in plan order, the same at any worker count,
+// and points stay distinguishable across configurations.
 func (l *SweepLog) WriteDir(dir string, cacheHits, cacheMisses uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

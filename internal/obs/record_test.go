@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
 
@@ -100,23 +101,28 @@ func TestSweepLogDedupAndCounters(t *testing.T) {
 	l := NewSweepLog()
 	cfg := config.Default()
 	meta := RunMeta{Workload: "w", Cfg: cfg, Warmup: 10, Insts: 100}
-	var st stats.Sim
-	st.ArchInsts = 100
-
-	l.AddCPI(meta, st, nil) // fresh simulation
-	cachedMeta := meta
-	cachedMeta.Cached = true
-	l.AddCPI(cachedMeta, st, nil) // same point recalled
 	other := meta
 	other.Workload = "w2"
-	l.AddCPI(other, st, nil)
+	var res pipeline.Result
+	res.Stats.ArchInsts, res.Stats.Cycles = 100, 50
+
+	slots := l.AddPlanned([]RunMeta{meta, other, meta})
+	if slots[0] != 0 || slots[1] != 1 || slots[2] != 0 {
+		t.Fatalf("slots %v, want [0 1 0]: a repeated point keeps its first slot", slots)
+	}
+	l.Add(slots[2], true, &res)  // same point recalled...
+	l.Add(slots[1], false, &res) // ...finishing before the others
+	l.Add(slots[0], false, &res) // fresh simulation
 
 	recs := l.Records()
-	if len(recs) != 2 {
-		t.Fatalf("got %d unique records, want 2", len(recs))
+	if len(recs) != 2 || recs[0].Workload != "w" || recs[1].Workload != "w2" {
+		t.Fatalf("got %d records, want w then w2 in plan order", len(recs))
 	}
-	if !recs[0].Cached {
-		t.Error("first point saw a cache recall; record should be marked cached")
+	if !recs[0].Cached || recs[1].Cached {
+		t.Error("only the point that saw a cache recall should be marked cached")
+	}
+	if recs[0].Totals != res.Stats || recs[0].Summary.IPC != 2 {
+		t.Errorf("record not filled from the run: IPC %v, totals %+v", recs[0].Summary.IPC, recs[0].Totals)
 	}
 	sw := l.Sweep(5, 2)
 	if sw.Runs != 3 || sw.CachedRuns != 1 || sw.UniquePoints != 2 {
@@ -137,7 +143,7 @@ func TestSweepLogDedupAndCounters(t *testing.T) {
 func TestSweepLogWriteDir(t *testing.T) {
 	dir := t.TempDir()
 	l := NewSweepLog()
-	l.AddCPI(RunMeta{Workload: "w", Cfg: config.Default(), Warmup: 1, Insts: 2}, stats.Sim{}, nil)
+	l.Add(l.AddPlanned([]RunMeta{{Workload: "w", Cfg: config.Default(), Warmup: 1, Insts: 2}})[0], false, &pipeline.Result{})
 	if err := l.WriteDir(dir, 1, 1); err != nil {
 		t.Fatal(err)
 	}

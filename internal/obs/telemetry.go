@@ -11,11 +11,8 @@ type Config struct {
 	// (0 → DefaultInterval).
 	Interval uint64
 	// TopK is how many entries each attribution table reports
-	// (<= 0 → DefaultTopK).
+	// (<= 0 → DefaultTopK). Each table tracks up to DefaultTableCap PCs.
 	TopK int
-	// TableCap bounds how many PCs each attribution table tracks
-	// (<= 0 → DefaultTableCap).
-	TableCap int
 }
 
 // Telemetry is the per-run observer: it satisfies pipeline.Probe
@@ -43,16 +40,13 @@ func New(cfg Config) *Telemetry {
 	if cfg.TopK <= 0 {
 		cfg.TopK = DefaultTopK
 	}
-	if cfg.TableCap <= 0 {
-		cfg.TableCap = DefaultTableCap
-	}
 	return &Telemetry{
 		cfg:         cfg,
 		sampler:     NewSampler(cfg.Interval),
-		vpFlush:     NewTopPC(cfg.TableCap),
-		brMiss:      NewTopPC(cfg.TableCap),
-		l1dMiss:     NewTopPC(cfg.TableCap),
-		commitStall: NewTopPC(cfg.TableCap),
+		vpFlush:     NewTopPC(DefaultTableCap),
+		brMiss:      NewTopPC(DefaultTableCap),
+		l1dMiss:     NewTopPC(DefaultTableCap),
+		commitStall: NewTopPC(DefaultTableCap),
 	}
 }
 
@@ -84,7 +78,7 @@ func (t *Telemetry) Record(meta RunMeta, totals stats.Sim) *RunRecord {
 	rec.Intervals = t.sampler.Samples()
 	rec.Attribution = &Attribution{
 		TopK:              t.cfg.TopK,
-		TableCap:          t.cfg.TableCap,
+		TableCap:          DefaultTableCap,
 		VPFlushes:         t.vpFlush.Top(t.cfg.TopK),
 		BranchMispredicts: t.brMiss.Top(t.cfg.TopK),
 		L1DMisses:         t.l1dMiss.Top(t.cfg.TopK),

@@ -302,12 +302,18 @@ func NewFromEmulator(cfg *config.Machine, e *emu.Emulator) *Core {
 	return c
 }
 
-// Result is the outcome of a simulation run.
+// Result is the outcome of a simulation run. It is the one result type:
+// report.Execute, the report run cache and tvp.Run all hand it on as the
+// core returned it.
 type Result struct {
+	// Stats holds the post-warmup counters.
 	Stats     stats.Sim
 	Cycles    uint64 // total cycles including warmup
 	Committed uint64 // total committed architectural instructions
-	Halted    bool   // the program ran to completion
+	// Skipped counts the cycles absorbed by event-driven skipping
+	// (SkippedCycles), warmup included.
+	Skipped uint64
+	Halted  bool // the program ran to completion
 	// Stopped reports that the run was abandoned early by the stop check
 	// (SetStopCheck); the stats cover only the simulated prefix and must
 	// not be cached or served as the point's result.
@@ -392,6 +398,7 @@ func (c *Core) Run(warmup, maxInsts uint64) Result {
 	res := Result{
 		Cycles:    c.cycle,
 		Committed: c.committed,
+		Skipped:   c.skipped,
 		Halted:    c.haltSeen && c.robCnt == 0,
 		Stopped:   stopped,
 		Silenced:  c.vpred != nil && c.vpred.EverSilenced(),

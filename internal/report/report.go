@@ -52,12 +52,10 @@ type Config struct {
 	// byte-identical from -j 1 to full parallelism
 	// (TestSweepParallelismInvariance).
 	Workers int
-	// Heartbeat, when non-nil, receives live sweep progress (runs
-	// done/planned, cache recalls, realized MIPS). Observation only; it
-	// never changes results.
-	Heartbeat *obs.Heartbeat
 	// Obs, when non-nil, collects one machine-readable obs.RunRecord per
-	// unique simulation point touched by the sweep. Observation only.
+	// unique simulation point touched by the sweep and drives its live
+	// progress line, if turned on (obs.SweepLog.Progress). Observation
+	// only; it never changes results.
 	Obs *obs.SweepLog
 }
 
@@ -160,8 +158,8 @@ func ResetRunCache() { runCache.Reset() }
 // Deprecated: CPI stacks share the run cache; use ResetRunCache.
 func ResetCPICache() { ResetRunCache() }
 
-// runOne executes (or recalls) one run through the memoization layer,
-// reporting to the optional telemetry sinks. A point whose silencing
+// runOne executes (or recalls) one run through the memoization layer and
+// reports whether an Execute ran on its behalf. A point whose silencing
 // base (silencingBase) ran without ever silencing the value predictor
 // shares the base's result: that run read no silencing setting, so it
 // is the point's own run (vp.Predictor.Silence, DESIGN §6 Run path). A
@@ -169,53 +167,29 @@ func ResetCPICache() { ResetRunCache() }
 // base simulated on a variant's behalf counts once, as that call's
 // simulation, also when the call then simulates its own point. NoCache
 // means no memoization and no sharing.
-func (c Config) runOne(p Point) (Result, error) {
-	simulated := false
+func (c Config) runOne(p Point) (r Result, simulated bool, err error) {
 	simulate := func(p Point) (Result, error) {
 		simulated = true
 		return Execute(context.Background(), p, Attach{})
 	}
-	var r Result
-	var err error
 	if c.NoCache {
 		r, err = simulate(p)
-	} else {
-		r, err = runCache.Do(p.Key(), func() (Result, error) {
-			base, ok := silencingBase(p)
-			if !ok {
-				return simulate(p)
-			}
-			// A nested Do on another key cannot deadlock: a base is its
-			// own base, so its computation waits on no further key.
-			br, err := runCache.Do(base.Key(), func() (Result, error) { return simulate(base) })
-			if err == nil && !br.Silenced {
-				return br, nil
-			}
+		return r, simulated, err
+	}
+	r, err = runCache.Do(p.Key(), func() (Result, error) {
+		base, ok := silencingBase(p)
+		if !ok {
 			return simulate(p)
-		})
-	}
-	if err != nil {
-		return r, err
-	}
-	if c.Heartbeat != nil {
-		// A recall reports zeros: the line covers what was simulated.
-		var done Result
-		var insts uint64
-		if simulated {
-			done, insts = r, p.Warmup+p.Insts
 		}
-		c.Heartbeat.RunDoneStats(insts, !simulated, done.Cycles, done.Skipped, &done.CPI)
-	}
-	if c.Obs != nil {
-		c.Obs.AddCPI(obs.RunMeta{
-			Workload: p.Workload,
-			Cfg:      p.Cfg,
-			Warmup:   p.Warmup,
-			Insts:    p.Insts,
-			Cached:   !simulated,
-		}, r.Stats, &r.CPI)
-	}
-	return r, nil
+		// A nested Do on another key cannot deadlock: a base is its own
+		// base, so its computation waits on no further key.
+		br, err := runCache.Do(base.Key(), func() (Result, error) { return simulate(base) })
+		if err == nil && !br.Silenced {
+			return br, nil
+		}
+		return simulate(p)
+	})
+	return r, simulated, err
 }
 
 // silencingBase returns p with the value predictor's silencing settings
@@ -235,21 +209,31 @@ func silencingBase(p Point) (Point, bool) {
 // runAll executes the points on a sweep worker Pool (Config.Workers
 // wide), one point per slot, and returns results in point order —
 // slot-indexed writes keep the output independent of completion order
-// and byte-identical to the serial path. Failures are collected (not
-// panicked) and reported together, each wrapped with its workload name.
+// and byte-identical to the serial path. The sweep log, if any, gets the
+// points in that order before the fan-out, so its records do too.
+// Failures are collected (not panicked) and reported together, each
+// wrapped with its workload name.
 func (c Config) runAll(pts []Point) ([]Result, error) {
-	if c.Heartbeat != nil {
-		c.Heartbeat.AddPlanned(len(pts))
+	var slots []int
+	if c.Obs != nil {
+		metas := make([]obs.RunMeta, len(pts))
+		for i, p := range pts {
+			metas[i] = obs.RunMeta{Workload: p.Workload, Cfg: p.Cfg, Warmup: p.Warmup, Insts: p.Insts}
+		}
+		slots = c.Obs.AddPlanned(metas)
 	}
 	out := make([]Result, len(pts))
 	errs := make([]error, len(pts))
 	Each(c.workers(), len(pts), func(i int) {
-		r, err := c.runOne(pts[i])
+		r, simulated, err := c.runOne(pts[i])
 		if err != nil {
 			errs[i] = fmt.Errorf("workload %s: %w", pts[i].Workload, err)
 			return
 		}
 		out[i] = r
+		if c.Obs != nil {
+			c.Obs.Add(slots[i], !simulated, &out[i])
+		}
 	})
 	return out, errors.Join(errs...)
 }

@@ -57,23 +57,11 @@ type Attach struct {
 	Tracer pipeline.Tracer
 }
 
-// Result is the outcome of one run. Every run carries its CPI stack:
-// commit-slot accounting is always armed.
-type Result struct {
-	// Stats holds the post-warmup counters.
-	Stats stats.Sim
-	// CPI is the post-warmup commit-slot attribution; CPI.Total() ==
-	// Stats.Cycles × CommitWidth exactly.
-	CPI stats.CPIStack
-	// Cycles and Committed include warmup.
-	Cycles, Committed uint64
-	// Skipped counts the cycles absorbed by event-driven skipping.
-	Skipped uint64
-	// Silenced reports that the value predictor was silenced at least
-	// once, warmup included. An unsilenced result answers every
-	// silencing setting of its point (runOne).
-	Silenced bool
-}
+// Result is the outcome of one run, as the core returned it. Every run
+// carries its CPI stack: commit-slot accounting is always armed. An
+// unsilenced result (Silenced false) answers every silencing setting of
+// its point (runOne).
+type Result = pipeline.Result
 
 // Execute runs one point, uncached and unpooled: it is the one place
 // that builds and drives a pipeline.Core. It honors ctx: cancellation
@@ -128,7 +116,7 @@ func Execute(ctx context.Context, p Point, a Attach) (res Result, err error) {
 	if r.Stopped {
 		return Result{}, fmt.Errorf("report: simulate %s: %w", p.Workload, ctx.Err())
 	}
-	return Result{Stats: r.Stats, CPI: r.CPI, Cycles: r.Cycles, Committed: r.Committed, Skipped: core.SkippedCycles(), Silenced: r.Silenced}, nil
+	return r, nil
 }
 
 // Simulate is Execute without attachments, returning only the counters

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,12 +80,13 @@ func TestExecuteRecoversPanic(t *testing.T) {
 
 // TestRunAllCountsEachRunOnce: a point requested twice in one sweep is
 // simulated once and recalled once, also when the second request joins
-// the first while it is still in flight, so the sweep log and the
-// heartbeat count its instructions once.
+// the first while it is still in flight, so the sweep log and its
+// progress line count its instructions once.
 func TestRunAllCountsEachRunOnce(t *testing.T) {
 	ResetRunCache()
 	var beat bytes.Buffer
-	c := Config{Workers: 2, Obs: obs.NewSweepLog(), Heartbeat: obs.NewHeartbeat(&beat)}
+	c := Config{Workers: 2, Obs: obs.NewSweepLog()}
+	c.Obs.Progress(&beat, 2)
 	p := Point{Workload: "648_exchange2_s", Cfg: config.Default(), Warmup: 1000, Insts: 10000}
 	if _, err := c.runAll([]Point{p, p}); err != nil {
 		t.Fatal(err)
@@ -93,9 +95,9 @@ func TestRunAllCountsEachRunOnce(t *testing.T) {
 	if sw.Runs != 2 || sw.CachedRuns != 1 || sw.SimInsts != 11000 {
 		t.Fatalf("runs %d, cached %d, siminsts %d; want 2, 1 and 11000", sw.Runs, sw.CachedRuns, sw.SimInsts)
 	}
-	c.Heartbeat.Finish()
+	c.Obs.Finish()
 	if !strings.Contains(beat.String(), "2/2 runs (1 cached)") {
-		t.Fatalf("heartbeat %q, want 2/2 runs with 1 cached", beat.String())
+		t.Fatalf("progress line %q, want 2/2 runs with 1 cached", beat.String())
 	}
 }
 
@@ -107,7 +109,8 @@ func TestRunAllCountsEachRunOnce(t *testing.T) {
 func TestRunAllCountsSharedAnswersAsRecalls(t *testing.T) {
 	ResetRunCache()
 	var beat bytes.Buffer
-	c := Config{Workers: 2, Obs: obs.NewSweepLog(), Heartbeat: obs.NewHeartbeat(&beat)}
+	c := Config{Workers: 2, Obs: obs.NewSweepLog()}
+	c.Obs.Progress(&beat, 2)
 	var pts []Point
 	for _, window := range []int{15, 250, 1000} {
 		cfg := config.Default().WithVP(config.TVP)
@@ -126,8 +129,35 @@ func TestRunAllCountsSharedAnswersAsRecalls(t *testing.T) {
 		t.Fatalf("runs %d, cached %d, records %d, siminsts %d; want 3, 2, 3 and 11000",
 			sw.Runs, sw.CachedRuns, sw.UniquePoints, sw.SimInsts)
 	}
-	c.Heartbeat.Finish()
+	c.Obs.Finish()
 	if !strings.Contains(beat.String(), "3/3 runs (2 cached)") {
-		t.Fatalf("heartbeat %q, want 3/3 runs with 2 cached", beat.String())
+		t.Fatalf("progress line %q, want 3/3 runs with 2 cached", beat.String())
+	}
+}
+
+// TestRunAllRecordsInPlanOrder: a two-worker sweep numbers its records
+// in the order it plans its points, which is the order a one-worker
+// sweep finishes them, although a slow first point finishes last.
+func TestRunAllRecordsInPlanOrder(t *testing.T) {
+	slow := Point{Workload: "605_mcf_s", Cfg: config.Default(), Warmup: 1000, Insts: 30000}
+	pts := []Point{slow}
+	for _, w := range []string{"648_exchange2_s", "641_leela_s", "600_perlbench_s_1"} {
+		pts = append(pts, Point{Workload: w, Cfg: config.Default(), Warmup: 500, Insts: 1000})
+	}
+	pts = append(pts, pts[2], slow)
+	order := func(workers int) []string {
+		c := Config{Workers: workers, NoCache: true, Obs: obs.NewSweepLog()}
+		if _, err := c.runAll(pts); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, r := range c.Obs.Records() {
+			names = append(names, r.Workload)
+		}
+		return names
+	}
+	one, two := order(1), order(2)
+	if len(one) != 4 || !slices.Equal(one, two) {
+		t.Fatalf("two workers numbered the records\n%v\none worker\n%v", two, one)
 	}
 }

@@ -45,7 +45,7 @@ const (
 
 // Config sizes a Server.
 type Config struct {
-	// Workers is the simulation pool size (<=0: GOMAXPROCS).
+	// Workers is the simulation pool size (<=0: runtime.NumCPU()).
 	Workers int
 	// Queue bounds the pool's pending-job queue (0: hand-off only).
 	Queue int

@@ -8,8 +8,8 @@
 // compute the same result.
 //
 // The generic Cache is usable for any memoized computation (built
-// programs, warmup checkpoints, functional histograms); RunKey is the
-// canonical key for timing runs.
+// programs, functional histograms); RunKey is the canonical key for
+// timing runs.
 package simcache
 
 import (

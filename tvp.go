@@ -88,18 +88,11 @@ type Options struct {
 	CrossCheck bool
 }
 
-// Result is the outcome of one run.
-type Result struct {
-	// Workload is the workload name.
-	Workload string
-	// Stats holds the post-warmup counters.
-	Stats Stats
-	// CPI is the post-warmup CPI stack: CPI.Total() == Stats.Cycles ×
-	// CommitWidth, exactly.
-	CPI CPIStack
-	// TotalCycles and TotalInsts include warmup.
-	TotalCycles, TotalInsts uint64
-}
+// Result is the outcome of one run: Stats holds the post-warmup
+// counters; CPI is the post-warmup CPI stack, with CPI.Total() ==
+// Stats.Cycles × CommitWidth exactly; Cycles, Committed and Skipped
+// (cycles absorbed by event-driven skipping) include warmup.
+type Result = report.Result
 
 func (o *Options) defaults() {
 	if o.Warmup == 0 {
@@ -128,17 +121,7 @@ func Run(o Options) (Result, error) {
 	if p.Program != nil && p.Workload == "" {
 		p.Workload = p.Program.Name
 	}
-	r, err := report.Execute(context.Background(), p, report.Attach{})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Workload:    p.Workload,
-		Stats:       r.Stats,
-		CPI:         r.CPI,
-		TotalCycles: r.Cycles,
-		TotalInsts:  r.Committed,
-	}, nil
+	return report.Execute(context.Background(), p, report.Attach{})
 }
 
 // Benchmarks returns the workload names in the paper's figure order.

@@ -17,14 +17,11 @@ func TestRunDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Workload != "648_exchange2_s" {
-		t.Errorf("workload name = %q", res.Workload)
-	}
 	if res.Stats.IPC() <= 0 {
 		t.Error("no progress")
 	}
-	if res.TotalInsts < 35000 {
-		t.Errorf("total committed %d < warmup+measured", res.TotalInsts)
+	if res.Committed < 35000 {
+		t.Errorf("total committed %d < warmup+measured", res.Committed)
 	}
 }
 
@@ -46,8 +43,8 @@ func TestRunCustomProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Workload != "custom" {
-		t.Errorf("custom program name = %q", res.Workload)
+	if res.Stats.IPC() <= 0 || res.Committed < 21000 {
+		t.Errorf("custom program: IPC %.3f, %d committed; want progress past warmup+measured", res.Stats.IPC(), res.Committed)
 	}
 }
 
@@ -103,8 +100,7 @@ func TestDefaultConfigIsValid(t *testing.T) {
 // TestEntryPointParity: one point gives the same answer through every
 // entry point — tvp.Run, report.Execute, report.Simulate, and a
 // memory-only tvpd server — on a high-IPC and a low-IPC workload.
-// tvp.Run and Execute also agree on the CPI stack, cycles and committed
-// instructions.
+// tvp.Run returns exactly Execute's whole result.
 func TestEntryPointParity(t *testing.T) {
 	const warm, insts = 5000, 30000
 	ctx := context.Background()
@@ -133,14 +129,13 @@ func TestEntryPointParity(t *testing.T) {
 			for _, got := range []struct {
 				path string
 				st   stats.Sim
-			}{{"tvp.Run", run.Stats}, {"Simulate", sim}, {"serve.Resolve", served}} {
+			}{{"Simulate", sim}, {"serve.Resolve", served}} {
 				if got.st != live.Stats {
 					t.Errorf("%s stats differ from Execute's:\n got %+v\nwant %+v", got.path, got.st, live.Stats)
 				}
 			}
-			if run.CPI != live.CPI || run.TotalCycles != live.Cycles || run.TotalInsts != live.Committed {
-				t.Errorf("tvp.Run: CPI %+v cycles %d committed %d; Execute: CPI %+v cycles %d committed %d",
-					run.CPI, run.TotalCycles, run.TotalInsts, live.CPI, live.Cycles, live.Committed)
+			if run != live {
+				t.Errorf("tvp.Run's result differs from Execute's:\n got %+v\nwant %+v", run, live)
 			}
 			if live.CPI.Total() == 0 {
 				t.Error("Execute returned an empty CPI stack")
