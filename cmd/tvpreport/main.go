@@ -36,13 +36,14 @@ import (
 )
 
 func main() {
+	def := report.Default()
 	var (
 		fig        = flag.Int("fig", 0, "regenerate one figure (1-6)")
 		table      = flag.Int("table", 0, "regenerate one table (1-3)")
 		storage    = flag.Bool("storage", false, "print the predictor storage model")
 		ablation   = flag.String("ablation", "", "run an ablation: silencing|prefetch|dynsilence|validation")
-		warm       = flag.Uint64("warmup", 50_000, "warmup instructions per run")
-		insts      = flag.Uint64("insts", 250_000, "measured instructions per run")
+		warm       = flag.Uint64("warmup", def.Warmup, "warmup instructions per run")
+		insts      = flag.Uint64("insts", def.Insts, "measured instructions per run")
 		nocache    = flag.Bool("nocache", false, "simulate every point: no memoization and no sharing")
 		cpistack   = flag.Bool("cpistack", false, "print the top-down CPI-stack cycle accounting (base vs TVP+SpSR)")
 		workers    = flag.Int("j", 0, "concurrent simulation workers for sweeps (0 = all CPU cores); results are byte-identical at any -j")

@@ -72,11 +72,11 @@ func runCompare(names []string, spsr bool, warm, insts uint64, xcheck bool) int 
 		if bad {
 			continue
 		}
-		base := row[0].Stats.IPC()
-		fmt.Printf("%-22s %8.3f |", n, base)
+		base := &row[0].Stats
+		fmt.Printf("%-22s %8.3f |", n, base.IPC())
 		for j := 1; j < 4; j++ {
 			stj := &row[j].Stats
-			up := (stj.IPC()/base - 1) * 100
+			up := stj.Speedup(base)
 			sp[j-1] = append(sp[j-1], up)
 			fmt.Printf(" %+8.2f %7.2f |", up, 100*stj.VPCoverage())
 		}
@@ -165,7 +165,7 @@ func runVerifyOnly(path string) int {
 		fmt.Fprintln(os.Stderr, "tvpsim:", err)
 		return 2
 	}
-	p, res := verify.Binary(data, verify.Options{})
+	p, res := verify.Binary(data)
 	for _, d := range res.Diags {
 		fmt.Println(d)
 	}

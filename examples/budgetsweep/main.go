@@ -46,8 +46,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			up := (res.Stats.IPC()/base.Stats.IPC() - 1) * 100
-			fmt.Printf(" %8.1fKB %+8.2f%% |", report.StorageKB(cfg, mode), up)
+			fmt.Printf(" %8.1fKB %+8.2f%% |", report.StorageKB(cfg, mode), res.Stats.Speedup(&base.Stats))
 		}
 		fmt.Println()
 	}

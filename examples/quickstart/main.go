@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("workload            %s\n", name)
 	fmt.Printf("baseline IPC        %.3f\n", base.Stats.IPC())
 	fmt.Printf("TVP+SpSR IPC        %.3f  (%+.2f%%)\n",
-		st.IPC(), (st.IPC()/base.Stats.IPC()-1)*100)
+		st.IPC(), st.Speedup(&base.Stats))
 	fmt.Printf("VP coverage         %.1f%% of eligible instructions\n", 100*st.VPCoverage())
 	fmt.Printf("VP accuracy         %.2f%% of used predictions\n", 100*st.VPAccuracy())
 	fmt.Printf("eliminated @ rename %.2f%% (moves %.2f%%, 0-idiom %.2f%%, 9-bit %.2f%%, SpSR %.2f%%)\n",

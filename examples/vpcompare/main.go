@@ -34,14 +34,14 @@ func main() {
 		}
 	}
 
-	base := results[0].Stats.IPC()
-	fmt.Printf("workload: %s (baseline IPC %.3f)\n\n", workload, base)
+	base := &results[0].Stats
+	fmt.Printf("workload: %s (baseline IPC %.3f)\n\n", workload, base.IPC())
 	fmt.Printf("%-8s %10s %9s %8s %8s %10s\n", "flavor", "storage", "speedup", "cov%", "acc%", "flushes")
 	for i, m := range modes[1:] {
 		st := &results[i+1].Stats
 		fmt.Printf("%-8s %8.1fKB %+8.2f%% %8.2f %8.2f %10d\n",
 			m, report.StorageKB(config.Default(), m),
-			(st.IPC()/base-1)*100, 100*st.VPCoverage(), 100*st.VPAccuracy(), st.VPFlushes)
+			st.Speedup(base), 100*st.VPCoverage(), 100*st.VPAccuracy(), st.VPFlushes)
 	}
 	fmt.Println("\nThe paper's headline (§8): a 7.9 KB MVP or 13.9 KB TVP captures a useful")
 	fmt.Println("fraction of what a 55.2 KB GVP delivers, with far less pipeline intrusion —")

@@ -101,15 +101,6 @@ func TestTAGELearnsPattern(t *testing.T) {
 	}
 }
 
-func TestTAGEStorage(t *testing.T) {
-	tg := newTestTAGE()
-	// base 2^10 × 2 bits + 6 × 2^8 × (3+2+9) bits.
-	want := 1024*2 + 6*256*14
-	if got := tg.StorageBits(); got != want {
-		t.Errorf("storage = %d bits, want %d", got, want)
-	}
-}
-
 func TestBTB(t *testing.T) {
 	b := NewBTB(64, 4)
 	if _, ok := b.Lookup(0x1000); ok {

@@ -242,18 +242,3 @@ func (t *TAGE) Train(pc uint64, p Prediction, taken bool) {
 
 	t.hist.Push(taken)
 }
-
-// StorageBits returns the predictor's storage budget in bits (counters,
-// tags and useful bits; history registers excluded, as is conventional).
-func (t *TAGE) StorageBits() int {
-	bits := len(t.base) * 2
-	for i := range t.tables {
-		tb := &t.tables[i]
-		tagBits := 0
-		for m := tb.tagMask; m != 0; m >>= 1 {
-			tagBits++
-		}
-		bits += len(tb.entries) * (3 + 2 + tagBits)
-	}
-	return bits
-}

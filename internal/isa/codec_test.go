@@ -152,22 +152,20 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestCrackEveryOp covers both µop kinds for every operation: the Main µop
-// always leads with the op's execution class, and exactly the pre/post-
-// index memory forms emit a BaseUpdate µop on the integer ALU.
+// TestCrackEveryOp checks the µop count of every operation in every
+// addressing mode: exactly the pre/post-index loads and stores crack
+// into a Main µop plus a BaseUpdate µop, everything else into one µop.
 func TestCrackEveryOp(t *testing.T) {
 	for op := Op(0); op < numOps; op++ {
-		in := repInsts[op]
-		tmpl := Crack(&in, nil)
-		if len(tmpl) != CrackCount(&in) {
-			t.Errorf("%v: Crack emitted %d µops, CrackCount says %d", op, len(tmpl), CrackCount(&in))
-		}
-		if tmpl[0].Kind != UOpMain || tmpl[0].Class != OpClass(op) {
-			t.Errorf("%v: main µop = %+v, want kind %d class %v", op, tmpl[0], UOpMain, OpClass(op))
-		}
-		for _, u := range tmpl[1:] {
-			if u.Kind != UOpBaseUpdate || u.Class != ClassIntALU {
-				t.Errorf("%v: extra µop = %+v, want base-update on int-alu", op, u)
+		for _, mode := range []AddrMode{AddrOff, AddrReg, AddrPre, AddrPost} {
+			in := repInsts[op]
+			in.Mode = mode
+			want := 1
+			if c := OpClass(op); (c == ClassLoad || c == ClassStore) && (mode == AddrPre || mode == AddrPost) {
+				want = 2
+			}
+			if got := CrackCount(&in); got != want {
+				t.Errorf("%v %v: CrackCount = %d, want %d", op, mode, got, want)
 			}
 		}
 	}

@@ -467,10 +467,6 @@ func IsCondBranch(op Op) bool {
 	return false
 }
 
-// IsIndirect reports whether the operation is an indirect branch (target
-// comes from a register).
-func IsIndirect(op Op) bool { return op == RET || op == BR }
-
 // IsMem reports whether the operation accesses memory.
 func IsMem(op Op) bool {
 	c := OpClass(op)

@@ -16,28 +16,10 @@ const (
 	UOpBaseUpdate
 )
 
-// UOpTemplate describes one µop produced by decoding an instruction.
-type UOpTemplate struct {
-	Kind  UOpKind
-	Class Class
-}
-
 // CrackCount returns the number of µops the instruction decodes into.
 func CrackCount(in *Inst) int {
 	if IsMem(in.Op) && (in.Mode == AddrPre || in.Mode == AddrPost) {
 		return 2
 	}
 	return 1
-}
-
-// Crack appends the µop templates for the instruction to dst and returns
-// the extended slice. The Main µop always comes first so that the timing
-// model's per-instruction bookkeeping (value prediction, branch
-// resolution) can attach to µop index 0.
-func Crack(in *Inst, dst []UOpTemplate) []UOpTemplate {
-	dst = append(dst, UOpTemplate{Kind: UOpMain, Class: OpClass(in.Op)})
-	if IsMem(in.Op) && (in.Mode == AddrPre || in.Mode == AddrPost) {
-		dst = append(dst, UOpTemplate{Kind: UOpBaseUpdate, Class: ClassIntALU})
-	}
-	return dst
 }

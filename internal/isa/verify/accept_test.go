@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/fuzzgen"
+	"repro/internal/isa"
 	"repro/internal/isa/verify"
+	"repro/internal/prog"
 	"repro/internal/workload"
 )
 
@@ -20,7 +22,7 @@ func TestVerifyAcceptsSuite(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			res := verify.Program(p, verify.Options{})
+			res := verify.Program(p)
 			for _, d := range res.Errors() {
 				t.Errorf("false reject: %s", d)
 			}
@@ -37,9 +39,32 @@ func TestVerifyAcceptsSuite(t *testing.T) {
 func TestVerifyAcceptsFuzzgen(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		p := fuzzgen.Generate(seed)
-		res := verify.Program(p, verify.Options{})
+		res := verify.Program(p)
 		for _, d := range res.Errors() {
 			t.Errorf("seed %d: false reject: %s", seed, d)
 		}
 	}
+}
+
+// TestDefUseWarns pins def-before-use as a lint finding: a register
+// never written reads as zero at reset, so the verifier admits the
+// binary and reports a Warn at the reading instruction.
+func TestDefUseWarns(t *testing.T) {
+	data, _ := encodeHalting("defuse", func(b *prog.Builder) int {
+		b.Add(isa.X1, isa.X5, isa.X6) // X5/X6 never written
+		return 0
+	})
+	p, res := verify.Binary(data)
+	if p == nil || !res.OK() {
+		for _, d := range res.Diags {
+			t.Logf("diag: %s", d)
+		}
+		t.Fatal("verifier rejected a def-before-use read")
+	}
+	for _, d := range res.Diags {
+		if d.Check == "defuse" && d.Sev == verify.Warn && d.Index == 0 && d.PC == prog.PC(0) {
+			return
+		}
+	}
+	t.Fatalf("no defuse Warn at instruction 0 in %v", res.Diags)
 }

@@ -148,7 +148,7 @@ func TestCFGConstruction(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			p, want := c.build()
-			res := verify.Program(p, verify.Options{})
+			res := verify.Program(p)
 			if got := res.OK(); got != want.ok {
 				for _, d := range res.Diags {
 					t.Logf("diag: %s", d)

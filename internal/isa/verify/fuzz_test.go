@@ -40,7 +40,7 @@ func FuzzVerify(f *testing.F) {
 		if len(data) > 1<<16 {
 			return // bound decode+verify cost per input
 		}
-		p, res := verify.Binary(data, verify.Options{})
+		p, res := verify.Binary(data)
 		if p == nil || !res.OK() {
 			return // rejection is always a safe outcome
 		}

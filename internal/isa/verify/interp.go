@@ -349,7 +349,7 @@ func (v *verifier) transfer(i int, st *state) []edge {
 // def-before-use diagnostic if no path has written it yet.
 func (v *verifier) readReg(i int, st *state, r isa.Reg, w bool) AbsVal {
 	if r != isa.XZR && !st.defined(r) {
-		v.addDefUse(i, fmt.Sprintf("%s read before any definition (reads as zero at reset)", r))
+		v.addDiag("defuse", Warn, i, fmt.Sprintf("%s read before any definition (reads as zero at reset)", r))
 	}
 	val := st.get(r)
 	if w {
@@ -360,7 +360,7 @@ func (v *verifier) readReg(i int, st *state, r isa.Reg, w bool) AbsVal {
 
 func (v *verifier) useFP(i int, st *state, r isa.Reg) {
 	if !st.fdefined(r) {
-		v.addDefUse(i, fmt.Sprintf("d%d read before any definition (reads as zero at reset)", int(r)))
+		v.addDiag("defuse", Warn, i, fmt.Sprintf("d%d read before any definition (reads as zero at reset)", int(r)))
 	}
 }
 

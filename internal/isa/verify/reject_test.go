@@ -18,7 +18,6 @@ import (
 // Error finding from the named check at the exact instruction index.
 type rejectCase struct {
 	name      string
-	strict    bool // run with StrictDefUse
 	build     func() []byte
 	wantCheck string
 	wantIndex int
@@ -78,14 +77,6 @@ func rejectCases() []rejectCase {
 					{Op: isa.NOP},
 				}}
 				return tvpb.EncodeProgram(p)
-			}},
-		{name: "defuse_uninitialized", strict: true, wantCheck: "defuse", wantIndex: 0,
-			build: func() []byte {
-				data, _ := encodeHalting("bad_defuse", func(b *prog.Builder) int {
-					b.Add(isa.X1, isa.X5, isa.X6) // X5/X6 never written
-					return 0
-				})
-				return data
 			}},
 		{name: "bounds_load_outside_windows", wantCheck: "bounds", wantIndex: -1,
 			build: func() []byte {
@@ -153,7 +144,7 @@ func TestRejectCorpus(t *testing.T) {
 				t.Fatalf("committed corpus drifted from its builder (%d vs %d bytes)", len(data), len(want))
 			}
 
-			_, res := verify.Binary(data, verify.Options{StrictDefUse: c.strict})
+			_, res := verify.Binary(data)
 			if res.OK() {
 				t.Fatal("verifier accepted a seeded-bad binary")
 			}
@@ -191,7 +182,7 @@ func TestRejectBadOpcodeInMemory(t *testing.T) {
 		{Op: isa.Op(200)},
 		{Op: isa.HALT},
 	}}
-	res := verify.Program(p, verify.Options{})
+	res := verify.Program(p)
 	if res.OK() {
 		t.Fatal("verifier accepted an invalid opcode")
 	}

@@ -73,20 +73,12 @@ func (d Diag) String() string {
 	return fmt.Sprintf("%s: inst %d @%#x: [%s] %s", d.Sev, d.Index, d.PC, d.Check, d.Msg)
 }
 
-// Options tunes a verification run.
-type Options struct {
-	// StrictDefUse upgrades def-before-use findings from Warn to Error.
-	StrictDefUse bool
-	// MaxOuter bounds the assume-guarantee memory iterations (0 = default).
-	MaxOuter int
-	// MaxSteps bounds total abstract transfer executions (0 = default).
-	MaxSteps int
-}
-
 const (
-	defaultMaxOuter = 64
-	defaultMaxSteps = 4_000_000
-	widenThreshold  = 24
+	// maxOuter bounds the assume-guarantee memory iterations.
+	maxOuter = 64
+	// maxSteps bounds total abstract transfer executions.
+	maxSteps       = 4_000_000
+	widenThreshold = 24
 )
 
 // Result carries the findings plus the feasible CFG the fixpoint
@@ -134,22 +126,15 @@ func (r *Result) Allows(ea uint64, size uint8) bool {
 }
 
 // Program verifies an in-memory program.
-func Program(p *prog.Program, opt Options) *Result {
+func Program(p *prog.Program) *Result {
 	v := &verifier{
 		p:      p,
 		n:      len(p.Code),
-		opt:    opt,
 		mem:    newMemModel(p),
 		marks:  landmarks(p),
 		diags:  map[diagKey]Diag{},
 		ctxs:   [][]int{nil},
 		ctxIDs: map[string]int{"": 0},
-	}
-	if v.opt.MaxOuter <= 0 {
-		v.opt.MaxOuter = defaultMaxOuter
-	}
-	if v.opt.MaxSteps <= 0 {
-		v.opt.MaxSteps = defaultMaxSteps
 	}
 	return v.run()
 }
@@ -157,14 +142,14 @@ func Program(p *prog.Program, opt Options) *Result {
 // Binary decodes a TVPB container and verifies the program. A container
 // that does not decode yields a nil program and a single decode
 // diagnostic.
-func Binary(data []byte, opt Options) (*prog.Program, *Result) {
+func Binary(data []byte) (*prog.Program, *Result) {
 	p, err := tvpb.DecodeProgram(data)
 	if err != nil {
 		return nil, &Result{Diags: []Diag{{
 			Check: "decode", Sev: Error, Index: -1, Msg: err.Error(),
 		}}}
 	}
-	return p, Program(p, opt)
+	return p, Program(p)
 }
 
 type diagKey struct {
@@ -173,9 +158,8 @@ type diagKey struct {
 }
 
 type verifier struct {
-	p   *prog.Program
-	n   int
-	opt Options
+	p *prog.Program
+	n int
 
 	mem   *memModel
 	marks []uint64
@@ -262,18 +246,6 @@ func (v *verifier) addDiag(check string, sev Severity, index int, msg string) {
 	v.diags[k] = Diag{Check: check, Sev: sev, Index: index, PC: pc, Msg: msg}
 }
 
-func (v *verifier) addDefUse(index int, msg string) {
-	sev := Warn
-	if v.opt.StrictDefUse {
-		sev = Error
-	}
-	k := diagKey{"defuse", index}
-	if _, ok := v.diags[k]; ok {
-		return
-	}
-	v.diags[k] = Diag{Check: "defuse", Sev: sev, Index: index, PC: prog.PC(index), Msg: msg}
-}
-
 func (v *verifier) run() *Result {
 	if v.n == 0 {
 		return v.result([]Diag{{Check: "halt", Sev: Error, Index: -1, Msg: "empty program (no instructions, no HALT)"}})
@@ -310,15 +282,15 @@ func (v *verifier) run() *Result {
 		v.fixpoint()
 		if v.aborted {
 			v.addDiag("converge", Error, -1,
-				fmt.Sprintf("abstract interpretation exceeded %d steps without converging", v.opt.MaxSteps))
+				fmt.Sprintf("abstract interpretation exceeded %d steps without converging", maxSteps))
 			break
 		}
 		if v.mem.stable() {
 			break
 		}
-		if iters >= v.opt.MaxOuter {
+		if iters >= maxOuter {
 			v.addDiag("converge", Error, -1,
-				fmt.Sprintf("store summary did not stabilize within %d rounds", v.opt.MaxOuter))
+				fmt.Sprintf("store summary did not stabilize within %d rounds", maxOuter))
 			break
 		}
 	}
@@ -385,7 +357,7 @@ func (v *verifier) fixpoint() {
 		queued[k] = false
 
 		v.steps++
-		if v.steps > v.opt.MaxSteps {
+		if v.steps > maxSteps {
 			v.aborted = true
 			return
 		}

@@ -492,12 +492,6 @@ func (c *Core) headState() string {
 	return s
 }
 
-// Stats exposes the accumulated counters (primarily for tests).
-func (c *Core) Stats() *stats.Sim { return &c.st }
-
-// Cycle returns the current cycle.
-func (c *Core) Cycle() uint64 { return c.cycle }
-
 // SkippedCycles returns the number of cycles the event-driven scheduler
 // advanced over without simulating (0 with DisableCycleSkip). Purely
 // diagnostic: skipped cycles are fully accounted in Cycles and stats.

@@ -128,7 +128,7 @@ func (c *Core) mispredictHook(d *emu.DynInst) {
 // it is a fused multiply-add (the one latency special case), its source
 // plan, and its predicate flags. Built once per program text in
 // NewFromEmulator, it replaces the per-dynamic-instruction
-// isa.Crack/CrackCount switches in decode, the collectSrcs opcode
+// isa.OpClass/CrackCount switches in decode, the collectSrcs opcode
 // switch, the rename-stage isa predicate calls, and the dynamic-record
 // PC reads on the backend's hot paths — identical output, no per-µop
 // dispatch on the opcode.

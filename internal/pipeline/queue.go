@@ -36,16 +36,11 @@ func (q *queue[T]) popFront() {
 	}
 }
 
-func (q *queue[T]) clear() {
-	q.buf = q.buf[:0]
-	q.head = 0
-}
-
 // ring is a fixed-capacity power-of-two FIFO for the frontend stage
 // queues (fetch queue, µop queue), whose occupancy is bounded by config
 // before every push. Unlike queue it never touches the slice header: the
 // backing store is allocated once by newRing and the uint32 indices wrap
-// by mask, so push is a single element store — it runs at fetch/decode
+// by mask, so pushSlot is a single index bump — it runs at fetch/decode
 // width every simulated cycle.
 type ring[T any] struct {
 	buf  []T
@@ -64,12 +59,11 @@ func newRing[T any](capacity int) ring[T] {
 
 func (q *ring[T]) len() int  { return int(q.tail - q.head) }
 func (q *ring[T]) front() *T { return &q.buf[q.head&q.mask] }
-func (q *ring[T]) push(v T)  { q.buf[q.tail&q.mask] = v; q.tail++ }
 
 // pushSlot appends an uninitialized slot and returns it for in-place
-// fill, sparing the by-value copy of push for wide elements. The slot
-// retains the bytes of the element it last held after a wraparound, so
-// callers must assign every field.
+// fill, sparing a by-value copy of the wide elements. The slot retains
+// the bytes of the element it last held after a wraparound, so callers
+// must assign every field.
 func (q *ring[T]) pushSlot() *T {
 	p := &q.buf[q.tail&q.mask]
 	q.tail++

@@ -14,11 +14,11 @@ type AMPM struct {
 	out      []uint64
 }
 
+// ampmZone is one entry of the direct-mapped zone table.
 type ampmZone struct {
 	valid bool
 	tag   uint64
 	bits  []uint64
-	lru   uint64
 }
 
 const ampmMaxStride = 16

@@ -209,9 +209,6 @@ func (b *Builder) Add(rd, rn, rm isa.Reg) { b.alu3(isa.ADD, rd, rn, rm) }
 // AddI emits add rd, rn, #imm.
 func (b *Builder) AddI(rd, rn isa.Reg, imm int64) { b.aluImm(isa.ADD, rd, rn, imm) }
 
-// Adds emits adds rd, rn, rm (flag setting).
-func (b *Builder) Adds(rd, rn, rm isa.Reg) { b.alu3(isa.ADDS, rd, rn, rm) }
-
 // Sub emits sub rd, rn, rm.
 func (b *Builder) Sub(rd, rn, rm isa.Reg) { b.alu3(isa.SUB, rd, rn, rm) }
 
@@ -239,9 +236,6 @@ func (b *Builder) AndI(rd, rn isa.Reg, imm int64) { b.aluImm(isa.AND, rd, rn, im
 // Ands emits ands rd, rn, rm.
 func (b *Builder) Ands(rd, rn, rm isa.Reg) { b.alu3(isa.ANDS, rd, rn, rm) }
 
-// AndsI emits ands rd, rn, #imm.
-func (b *Builder) AndsI(rd, rn isa.Reg, imm int64) { b.aluImm(isa.ANDS, rd, rn, imm) }
-
 // Tst emits tst rn, rm (ands xzr, rn, rm).
 func (b *Builder) Tst(rn, rm isa.Reg) { b.alu3(isa.ANDS, isa.XZR, rn, rm) }
 
@@ -263,17 +257,8 @@ func (b *Builder) EorI(rd, rn isa.Reg, imm int64) { b.aluImm(isa.EOR, rd, rn, im
 // Bic emits bic rd, rn, rm.
 func (b *Builder) Bic(rd, rn, rm isa.Reg) { b.alu3(isa.BIC, rd, rn, rm) }
 
-// BicI emits bic rd, rn, #imm.
-func (b *Builder) BicI(rd, rn isa.Reg, imm int64) { b.aluImm(isa.BIC, rd, rn, imm) }
-
-// Lsl emits lsl rd, rn, rm (variable shift).
-func (b *Builder) Lsl(rd, rn, rm isa.Reg) { b.alu3(isa.LSL, rd, rn, rm) }
-
 // LslI emits lsl rd, rn, #imm.
 func (b *Builder) LslI(rd, rn isa.Reg, imm int64) { b.aluImm(isa.LSL, rd, rn, imm) }
-
-// Lsr emits lsr rd, rn, rm.
-func (b *Builder) Lsr(rd, rn, rm isa.Reg) { b.alu3(isa.LSR, rd, rn, rm) }
 
 // LsrI emits lsr rd, rn, #imm.
 func (b *Builder) LsrI(rd, rn isa.Reg, imm int64) { b.aluImm(isa.LSR, rd, rn, imm) }
@@ -488,11 +473,6 @@ func (b *Builder) Fcmp(dn, dm isa.Reg) { b.Emit(isa.Inst{Op: isa.FCMP, Rn: dn, R
 // Fldr emits fldr dd, [rn, #imm].
 func (b *Builder) Fldr(dd, rn isa.Reg, imm int64) {
 	b.Emit(isa.Inst{Op: isa.FLDR, Rd: dd, Rn: rn, Imm: imm, Size: 8, Mode: isa.AddrOff})
-}
-
-// FldrR emits fldr dd, [rn, rm, lsl #shift].
-func (b *Builder) FldrR(dd, rn, rm isa.Reg, shift int64) {
-	b.Emit(isa.Inst{Op: isa.FLDR, Rd: dd, Rn: rn, Rm: rm, Imm2: shift, Size: 8, Mode: isa.AddrReg})
 }
 
 // FldrPost emits fldr dd, [rn], #imm.

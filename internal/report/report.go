@@ -59,7 +59,8 @@ type Config struct {
 	Obs *obs.SweepLog
 }
 
-// Default returns the configuration used for EXPERIMENTS.md.
+// Default returns the configuration used for EXPERIMENTS.md; its
+// Warmup and Insts are tvpreport's -warmup and -insts defaults.
 func Default() Config {
 	return Config{Warmup: 50_000, Insts: 250_000}
 }
@@ -398,11 +399,11 @@ func Fig3(c Config) ([]Fig3Row, Fig3Summary, error) {
 	var sum Fig3Summary
 	var speedups [3][]float64
 	for i, n := range names {
-		base := rs[i*4].Stats.IPC()
-		row := Fig3Row{Workload: n, BaseIPC: base}
+		base := &rs[i*4].Stats
+		row := Fig3Row{Workload: n, BaseIPC: base.IPC()}
 		for m := 0; m < 3; m++ {
 			st := &rs[i*4+1+m].Stats
-			row.Speedup[m] = (st.IPC()/base - 1) * 100
+			row.Speedup[m] = st.Speedup(base)
 			row.Coverage[m] = 100 * st.VPCoverage()
 			row.Accuracy[m] = 100 * st.VPAccuracy()
 			if agg(n) {
@@ -480,7 +481,7 @@ func (c Config) vpGeomeans(names []string, base []Result, mk func(config.VPMode)
 	for mi := range geo {
 		pcts := make([]float64, len(names))
 		for ni := range names {
-			pcts[ni] = (rs[ni*3+mi].Stats.IPC()/base[ni].Stats.IPC() - 1) * 100
+			pcts[ni] = rs[ni*3+mi].Stats.Speedup(&base[ni].Stats)
 		}
 		geo[mi] = stats.GeomeanSpeedup(pcts)
 	}
@@ -565,10 +566,9 @@ func Fig5(c Config) ([]Fig5Row, [4]float64, error) {
 	rows := make([]Fig5Row, len(names))
 	var pcts [4][]float64
 	for i, n := range names {
-		base := rs[i*5].Stats.IPC()
 		row := Fig5Row{Workload: n}
 		for k := 0; k < 4; k++ {
-			row.Speedup[k] = (rs[i*5+1+k].Stats.IPC()/base - 1) * 100
+			row.Speedup[k] = rs[i*5+1+k].Stats.Speedup(&rs[i*5].Stats)
 			if agg(n) {
 				pcts[k] = append(pcts[k], row.Speedup[k])
 			}
@@ -717,7 +717,7 @@ func AblationValidation(c Config) (speedup [2]float64, prfReads [2]float64, err 
 		var rd float64
 		for ni := range names {
 			st, base := &rs[ni].Stats, &baseRs[ni].Stats
-			pcts = append(pcts, (st.IPC()/base.IPC()-1)*100)
+			pcts = append(pcts, st.Speedup(base))
 			rd += pct(st.IntPRFReads, base.IntPRFReads) / float64(len(names))
 		}
 		speedup[variant] = stats.GeomeanSpeedup(pcts)
@@ -746,11 +746,11 @@ func AblationPrefetch(c Config) ([]PrefetchRow, error) {
 	}
 	rows := make([]PrefetchRow, len(names))
 	for i, n := range names {
-		ipc := func(k int) float64 { return rs[i*4+k].Stats.IPC() }
+		st := func(k int) *stats.Sim { return &rs[i*4+k].Stats }
 		rows[i] = PrefetchRow{
 			Workload:      n,
-			WithStride:    (ipc(1)/ipc(0) - 1) * 100,
-			WithoutStride: (ipc(3)/ipc(2) - 1) * 100,
+			WithStride:    st(1).Speedup(st(0)),
+			WithoutStride: st(3).Speedup(st(2)),
 		}
 	}
 	return rows, nil

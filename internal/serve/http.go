@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -32,6 +33,9 @@ const (
 	maxPointInsts = 50_000_000
 	// maxSweepCells caps a sweep's workloads × vp_modes; more gets 400.
 	maxSweepCells = 1024
+	// maxTimeoutMS is the largest timeout_ms a time.Duration holds;
+	// more, or a negative value, gets 400.
+	maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 )
 
 // errUnknownWorkload marks a well-formed request naming a workload the
@@ -136,6 +140,9 @@ func (r RunRequest) point() (report.Point, error) {
 	if r.Insts == 0 {
 		return report.Point{}, fmt.Errorf("insts must be positive")
 	}
+	if r.TimeoutMS < 0 || r.TimeoutMS > maxTimeoutMS {
+		return report.Point{}, fmt.Errorf("timeout_ms %d outside [0, %d]", r.TimeoutMS, maxTimeoutMS)
+	}
 	if r.Warmup > maxPointInsts || r.Insts > maxPointInsts-r.Warmup {
 		return report.Point{}, fmt.Errorf("warmup + insts exceeds the %d-instruction limit", maxPointInsts)
 	}
@@ -172,11 +179,12 @@ func (r SweepRequest) points() ([]report.Point, error) {
 	for _, w := range names {
 		for _, m := range modes {
 			p, err := RunRequest{
-				Workload: w,
-				VP:       m,
-				SpSR:     r.SpSR,
-				Warmup:   r.Warmup,
-				Insts:    r.Insts,
+				Workload:  w,
+				VP:        m,
+				SpSR:      r.SpSR,
+				Warmup:    r.Warmup,
+				Insts:     r.Insts,
+				TimeoutMS: r.TimeoutMS,
 			}.point()
 			if err != nil {
 				return nil, err

@@ -151,6 +151,13 @@ func TestRunMalformedRequests(t *testing.T) {
 		{"warmup plus insts over cap", "/v1/run", fmt.Sprintf(`{"workload":%q,"warmup":%d,"insts":%d}`, wl, maxPointInsts/2+1, maxPointInsts/2), http.StatusBadRequest},
 		{"warmup overflows", "/v1/run", fmt.Sprintf(`{"workload":%q,"warmup":%d,"insts":1000}`, wl, uint64(1<<64-1)), http.StatusBadRequest},
 		{"oversized body", "/v1/run", `{"workload":"` + wl + `","insts":1000,"vp":"` + strings.Repeat(" ", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		// A negative timeout would mean no deadline, and one past
+		// maxTimeoutMS would overflow time.Duration into a deadline
+		// that has already passed.
+		{"negative timeout_ms", "/v1/run", `{"workload":"` + wl + `","insts":1000,"timeout_ms":-1}`, http.StatusBadRequest},
+		{"timeout_ms overflows a duration", "/v1/run", fmt.Sprintf(`{"workload":%q,"insts":1000,"timeout_ms":%d}`, wl, maxTimeoutMS+1), http.StatusBadRequest},
+		{"negative sweep timeout_ms", "/v1/sweep", `{"workloads":["` + wl + `"],"insts":1000,"timeout_ms":-1}`, http.StatusBadRequest},
+		{"sweep timeout_ms overflows a duration", "/v1/sweep", fmt.Sprintf(`{"workloads":[%q],"insts":1000,"timeout_ms":%d}`, wl, maxTimeoutMS+1), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -96,6 +96,16 @@ func (s *Sim) IPC() float64 {
 	return float64(s.ArchInsts) / float64(s.Cycles)
 }
 
+// Speedup returns the IPC ratio of s over base, as a percentage uplift
+// (+4.67 means 4.67% faster).
+func (s *Sim) Speedup(base *Sim) float64 {
+	b := base.IPC()
+	if b == 0 {
+		return 0
+	}
+	return (s.IPC()/b - 1) * 100
+}
+
 // UopsPerInst returns the µop expansion ratio (Fig. 2 bars).
 func (s *Sim) UopsPerInst() float64 {
 	if s.ArchInsts == 0 {
@@ -145,16 +155,6 @@ func (s *Sim) L1DMPKI() float64 {
 		return 0
 	}
 	return 1000 * float64(s.L1DMisses) / float64(s.ArchInsts)
-}
-
-// Speedup returns the IPC ratio of s over base, as a percentage uplift
-// (+4.67 means 4.67% faster).
-func Speedup(s, base *Sim) float64 {
-	b := base.IPC()
-	if b == 0 {
-		return 0
-	}
-	return (s.IPC()/b - 1) * 100
 }
 
 // Geomean returns the geometric mean of xs. It returns 0 for an empty

@@ -89,7 +89,7 @@ func TestSubProperty(t *testing.T) {
 func TestSpeedup(t *testing.T) {
 	base := Sim{Cycles: 100, ArchInsts: 100}
 	fast := Sim{Cycles: 80, ArchInsts: 100}
-	if got := Speedup(&fast, &base); math.Abs(got-25) > 1e-9 {
+	if got := fast.Speedup(&base); math.Abs(got-25) > 1e-9 {
 		t.Errorf("speedup = %v, want 25", got)
 	}
 }

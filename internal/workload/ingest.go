@@ -19,7 +19,7 @@ import (
 // outside the verifier-reported windows, cannot overwrite text, and
 // always reaches HALT.
 func FromEncoded(data []byte) (*prog.Program, *verify.Result, error) {
-	p, res := verify.Binary(data, verify.Options{})
+	p, res := verify.Binary(data)
 	if errs := res.Errors(); len(errs) > 0 {
 		return p, res, fmt.Errorf("workload: binary rejected by verifier (%d error finding(s))", len(errs))
 	}

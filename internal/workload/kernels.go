@@ -84,171 +84,6 @@ func lcgStep(b *prog.Builder, dst isa.Reg) {
 	b.LsrI(dst, rLCG, 33)
 }
 
-// chainClass selects the stability class of a dependent chain's link
-// values, which determines the narrowest VP flavor able to capture them.
-type chainClass int
-
-const (
-	chainWide  chainClass = iota // 64-bit pointers: GVP only
-	chainSmall                   // 9-bit indices: TVP and GVP
-	chainBool                    // 0/1 selectors: MVP, TVP and GVP
-)
-
-// chainState carries the data addresses a chain kernel needs.
-type chainState struct {
-	class   chainClass
-	depth   int
-	cfgOff  int64 // config offset holding the chain head (chainWide)
-	idxBase uint64
-}
-
-// setupChain allocates the chain's backing storage. For chainWide, node i
-// holds a pointer to node i+1 and the head pointer is written into the
-// given config slot, so every link load returns a stable pointer — the
-// xalancbmk outlier pattern (§6.1). For chainSmall/chainBool the links
-// are a stable table of small indices.
-func setupChain(b *prog.Builder, class chainClass, depth int, cfgBase uint64, cfgSlot int) chainState {
-	st := chainState{class: class, depth: depth, cfgOff: int64(cfgSlot * 8)}
-	switch class {
-	case chainWide:
-		nodes := b.Alloc(uint64(depth+1)*64, 64)
-		for i := 0; i < depth; i++ {
-			b.SetWord(nodes+uint64(i)*64, nodes+uint64(i+1)*64)
-		}
-		b.SetWord(cfgBase+uint64(cfgSlot)*8, nodes)
-	case chainSmall:
-		st.idxBase = b.Alloc(256*8, 8)
-		for i := 0; i < 256; i++ {
-			b.SetWord(st.idxBase+uint64(i)*8, uint64(i*7+13)&0xff)
-		}
-	case chainBool:
-		st.idxBase = b.Alloc(2*8, 8)
-		b.SetWord(st.idxBase, 1)
-		b.SetWord(st.idxBase+8, 0)
-	}
-	return st
-}
-
-// emitChain emits one traversal of the chain, accumulating into acc. Each
-// link load's result is loop-invariant for its PC, so a value predictor of
-// the right class collapses the serial chain.
-func emitChain(b *prog.Builder, st chainState, acc isa.Reg) {
-	switch st.class {
-	case chainWide:
-		b.Ldr(isa.X0, rCfg, st.cfgOff, 8)
-		for i := 0; i < st.depth-1; i++ {
-			b.Ldr(isa.X0, isa.X0, 0, 8)
-		}
-		b.Add(acc, acc, isa.X0)
-	case chainSmall, chainBool:
-		b.MovAddr(isa.X1, st.idxBase)
-		b.Zero(isa.X0)
-		mask := int64(255)
-		if st.class == chainBool {
-			mask = 1
-		}
-		for i := 0; i < st.depth; i++ {
-			b.LdrR(isa.X0, isa.X1, isa.X0, 3, 8) // x0 = idx[x0], stable per PC
-			b.AndI(isa.X0, isa.X0, mask)
-		}
-		b.Add(acc, acc, isa.X0)
-	}
-}
-
-// Carried chains are the suite's central VP-speedup construction. A
-// persistent cursor register walks a *fixed-point* indirection each
-// iteration (a structure whose base is re-derived through loads every
-// time, as in xalancbmk's ValueStore::contains(), §6.1): the loads form a
-// loop-carried serial dependence, yet every load PC returns the same
-// value each iteration, so a value predictor of the right class breaks
-// the carry and lets iterations overlap. The cursor register must be one
-// of the reserved persistent registers (X15/X16/X17), chosen per
-// benchmark to avoid kernel scratch conflicts.
-//
-// setupChainCarried allocates the fixed-point structure and initializes
-// the cursor:
-//
-//	chainWide:  cur holds a pointer; [cur] = cur     (64-bit pointer)
-//	chainSmall: cur holds index k; idx[k] = k, k=7   (9-bit value)
-//	chainBool:  cur holds 1; idx[1] = 1              (0/1 value)
-func setupChainCarried(b *prog.Builder, class chainClass, cur isa.Reg) chainState {
-	st := chainState{class: class}
-	switch class {
-	case chainWide:
-		node := b.Alloc(64, 64)
-		b.SetWord(node, node)
-		b.MovAddr(cur, node)
-	case chainSmall:
-		st.idxBase = b.Alloc(256*8, 8)
-		b.SetWord(st.idxBase+7*8, 7)
-		b.MovImm(cur, 7)
-	case chainBool:
-		st.idxBase = b.Alloc(2*8, 8)
-		b.SetWord(st.idxBase+8, 1)
-		b.MovImm(cur, 1)
-	}
-	return st
-}
-
-// emitChainCarried emits depth loop-carried chain loads through cur. The
-// per-iteration critical path grows by depth × load latency unless the
-// link values are predicted.
-func emitChainCarried(b *prog.Builder, st chainState, cur isa.Reg, depth int) {
-	switch st.class {
-	case chainWide:
-		for i := 0; i < depth; i++ {
-			b.Ldr(cur, cur, 0, 8)
-		}
-	case chainSmall, chainBool:
-		b.MovAddr(isa.X13, st.idxBase)
-		for i := 0; i < depth; i++ {
-			b.LdrR(cur, isa.X13, cur, 3, 8)
-		}
-	}
-}
-
-// setupMixedChain allocates the fixed-point node a mixed-class carried
-// chain walks: word 0 holds a self pointer (wide class), word 8 holds 0
-// (bool class), word 16 holds 7 (9-bit class). Every link load is
-// loop-invariant; the per-link class decides which VP flavor can break
-// that link, so one chain with a mixed pattern yields graded MVP/TVP/GVP
-// speedups, the way real code mixes booleans, small offsets and pointers
-// on its critical paths.
-func setupMixedChain(b *prog.Builder, cur isa.Reg) {
-	node := b.Alloc(64, 64)
-	b.SetWord(node, node)
-	b.SetWord(node+8, 0)
-	b.SetWord(node+16, 7)
-	b.MovAddr(cur, node)
-}
-
-// emitMixedChain emits one carried link per pattern character:
-//
-//	'W': cur = [cur]           — wide pointer link (GVP breaks it)
-//	'B': t = [cur+8]; cur += t — 0/1 link (MVP/TVP/GVP break the load;
-//	     with SpSR the add reduces to a move when t is predicted 0)
-//	'S': t = [cur+16]; cur &^= t — 9-bit link (TVP/GVP break the load)
-//
-// An unpredicted link costs a load (plus an ALU op for B/S) on the
-// carried critical path; a predicted link costs only the ALU op, and a
-// predicted 'W' link costs nothing.
-func emitMixedChain(b *prog.Builder, cur isa.Reg, pattern string) {
-	for _, ch := range pattern {
-		switch ch {
-		case 'W':
-			b.Ldr(cur, cur, 0, 8)
-		case 'B':
-			b.Ldr(isa.X13, cur, 8, 8)
-			b.Add(cur, cur, isa.X13)
-		case 'S':
-			b.Ldr(isa.X13, cur, 16, 8)
-			b.Bic(cur, cur, isa.X13) // node is 64-aligned: cur &^ 7 == cur
-		default:
-			panic("workload: bad mixed-chain pattern " + string(ch))
-		}
-	}
-}
-
 // Conflict arena: L1-latency-independent floors. All arena slots are
 // spaced 16 KB apart so they map to a single L1D set (128KB, 8-way, 64B
 // lines → 256 sets → 16KB set stride): with more than 8 live slots, every

@@ -53,9 +53,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
-
 // OneIn returns true with probability 1/n. This is the primitive behind
 // the paper's Forward Probabilistic Counters (1/16 increment probability).
 func (r *Rand) OneIn(n int) bool {
